@@ -200,8 +200,8 @@ object HAC {
           val newCid = math.min(keep.cid, drop.cid)
           remap(drop.cid) = newCid
           remap(keep.cid) = newCid
-          // re-route earlier remaps that pointed at either member
-          for ((k, v) <- remap if v == keep.cid || v == drop.cid) remap(k) = newCid
+          // re-route earlier remaps that pointed at either member, in place
+          remap.mapValuesInPlace((_, v) => if (v == keep.cid || v == drop.cid) newCid else v)
           keep.cid = newCid; keep.n = tot
           cs.remove(bj)
         }

@@ -1,8 +1,5 @@
 package repro.community
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-
 /** Newman modularity (paper eq. 2) for undirected weighted graphs.
   *
   * Convention used throughout this repo: an edge list of *unordered*
@@ -13,7 +10,7 @@ import org.apache.spark.sql.functions._
   */
 object Modularity {
 
-  /** Local computation over edge triples (src, dst, w) with src <= dst. */
+  /** Q over edge triples (src, dst, w) with src <= dst. */
   def local(edges: Seq[(Long, Long, Double)], community: Map[Long, Long]): Double = {
     require(edges.forall { case (s, d, _) => s <= d }, "edges must be unordered (src <= dst)")
     val twoM = edges.map { case (_, _, w) => 2 * w }.sum
@@ -28,29 +25,5 @@ object Modularity {
     cs.iterator.map { c =>
       sumIn(c) / twoM - math.pow(sumTot(c) / twoM, 2)
     }.sum
-  }
-
-  /** Same metric as a Spark computation: `edges` (src, dst, weight) with
-    * src <= dst; `assignment` (id, community). Returns Q.
-    */
-  def spark(edges: DataFrame, assignment: DataFrame): Double = {
-    val e = edges.select(col("src"), col("dst"), col("weight"))
-    val twoM = e.agg(sum(col("weight") * 2)).head.getDouble(0)
-    if (twoM == 0) return 0.0
-    val degrees = e.select(col("src") as "id", col("weight") as "w")
-      .unionAll(e.select(col("dst") as "id", col("weight") as "w"))
-      .groupBy(col("id")).agg(sum(col("w")) as "k")
-    val sumTot = degrees.join(assignment, "id")
-      .groupBy(col("community")).agg(sum(col("k")) as "tot")
-    val withC = e
-      .join(assignment.select(col("id") as "src", col("community") as "c_src"), "src")
-      .join(assignment.select(col("id") as "dst", col("community") as "c_dst"), "dst")
-    val sumIn = withC.filter(col("c_src") === col("c_dst"))
-      .groupBy(col("c_src")).agg(sum(col("weight") * 2) as "inw")
-      .withColumnRenamed("c_src", "community")
-    sumTot.join(sumIn, Seq("community"), "left")
-      .select(
-        (coalesce(col("inw"), lit(0.0)) / twoM - pow(col("tot") / twoM, 2)) as "q")
-      .agg(sum(col("q"))).head.getDouble(0)
   }
 }

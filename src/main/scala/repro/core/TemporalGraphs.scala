@@ -61,7 +61,7 @@ object TemporalGraphs {
     *
     * γ=6 is calibrated (jobs/Tune.scala sweep, recorded in
     * EXPERIMENTS.md) so the granularity progression matches the paper's
-    * shape: Q rises 0.31 → 0.35 → 0.51 against the paper's
+    * shape: Q rises 0.37 → 0.48 → 0.55 against the paper's
     * 0.25 → 0.32 → 0.54, monotone in γ throughout the sweep.
     */
   val DefaultGamma = 6.0

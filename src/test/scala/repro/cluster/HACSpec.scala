@@ -221,6 +221,25 @@ class HACSpec extends SparkSpec {
     assert(math.abs(cents.head._2 - mlon) < 1e-9)
   }
 
+  test("cluster(): Rule 2 re-routes every earlier merge (assignment ids = centroid ids)") {
+    import spark.implicits._
+    // a 1 m cut leaves every point its own cluster, so the 50 m Rule 2
+    // merge does all the work; on seed 51 the remap table grows while
+    // earlier merges are re-routed, which updating it mid-iteration misses
+    val rnd = new scala.util.Random(51)
+    val pts = (0 until 60).map { i =>
+      val la = 53.35 + rnd.nextDouble() * 0.003
+      val lo = -6.26 + rnd.nextDouble() * 0.005
+      (i.toLong, la, lo)
+    }
+    val res = runCluster(pts, 1.0, 50.0)
+    val members = res.assignment.as[(Long, Long)].collect()
+      .groupBy(_._2).map { case (cid, ms) => cid -> ms.length.toLong }
+    val cents = res.centroids.select("cluster_id", "n_points").as[(Long, Long)].collect().toMap
+    assert(members.keySet === cents.keySet)
+    assert(members === cents)
+  }
+
   test("cluster(): deterministic across runs") {
     import spark.implicits._
     val rnd = new scala.util.Random(77)

@@ -79,29 +79,31 @@ class ModularitySpec extends SparkSpec {
     }
   }
 
-  test("spark implementation matches local on the two-triangle graph") {
-    import spark.implicits._
-    val edges = twoTriangles.toDF("src", "dst", "weight")
-    val assign = goodSplit.toSeq.toDF("id", "community")
-    val q = Modularity.spark(edges, assign)
-    assert(math.abs(q - Modularity.local(twoTriangles, goodSplit)) < 1e-9)
-  }
-
-  test("spark implementation matches local on random weighted graphs with loops") {
-    import spark.implicits._
+  test("matches brute-force dense-matrix Q on random weighted graphs with loops") {
+    // Q = (1/2m) Σ_ij [A_ij − k_i k_j / 2m] δ(c_i, c_j), A_ii = 2·w_self
+    def bruteForce(n: Int, edges: Seq[(Long, Long, Double)], comm: Map[Long, Long]): Double = {
+      val a = Array.ofDim[Double](n + 1, n + 1)
+      edges.foreach { case (i, j, w) =>
+        if (i == j) a(i.toInt)(i.toInt) += 2 * w
+        else { a(i.toInt)(j.toInt) += w; a(j.toInt)(i.toInt) += w }
+      }
+      val k = a.map(_.sum)
+      val twoM = k.sum
+      (for (i <- 1 to n; j <- 1 to n if comm(i.toLong) == comm(j.toLong))
+        yield a(i)(j) - k(i) * k(j) / twoM).sum / twoM
+    }
     val rnd = new scala.util.Random(17)
     (1 to 5).foreach { _ =>
       val n = 3 + rnd.nextInt(15)
-      val edges = (for {
+      val edges = for {
         i <- 1L to n.toLong; j <- i to n.toLong
         if rnd.nextDouble() < 0.4
-      } yield (i, j, rnd.nextDouble() * 5 + 0.1)).toSeq
+      } yield (i, j, rnd.nextDouble() * 5 + 0.1)
       if (edges.nonEmpty) {
         val comm = (1L to n.toLong).map(v => v -> (1L + rnd.nextInt(3)).toLong).toMap
-        val qL = Modularity.local(edges, comm)
-        val qS = Modularity.spark(edges.toDF("src", "dst", "weight"),
-                                  comm.toSeq.toDF("id", "community"))
-        assert(math.abs(qL - qS) < 1e-9, s"local=$qL spark=$qS")
+        val q = Modularity.local(edges, comm)
+        val qBrute = bruteForce(n, edges, comm)
+        assert(math.abs(q - qBrute) < 1e-9, s"local=$q brute force=$qBrute")
       }
     }
   }
