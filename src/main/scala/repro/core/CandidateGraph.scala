@@ -31,21 +31,23 @@ object CandidateGraph {
     * @param trips      rental_id, src_node, dst_node, start_ts
     */
   final case class Result(nodes: DataFrame, assignment: DataFrame, trips: DataFrame) {
+    /** Table II from one collected (src_node, dst_node) → trips aggregate
+      * and the is_station flags, counted in plain Scala (~1 k nodes).
+      */
     def stats: Stats = {
-      val pairs = trips.select(col("src_node") as "s", col("dst_node") as "d")
-      val directed = pairs.distinct()
-      val undirected = pairs
-        .select(least(col("s"), col("d")) as "a", greatest(col("s"), col("d")) as "b")
-        .distinct()
-      val nStation = nodes.filter(col("is_station")).count()
-      val nAll = nodes.count()
+      val directed = trips.groupBy(col("src_node"), col("dst_node")).count().collect()
+        .map(r => (r.getLong(0), r.getLong(1), r.getLong(2)))
+      val undirected = directed.map { case (s, d, _) => (math.min(s, d), math.max(s, d)) }.distinct
+      val isStation = nodes.select(col("is_station")).collect().map(_.getBoolean(0))
+      val nStation = isStation.count(identity).toLong
       Stats(
-        nNodes = nAll, nStationNodes = nStation, nCandidateNodes = nAll - nStation,
-        undirectedEdges = undirected.count(),
-        undirectedEdgesNoLoops = undirected.filter(col("a") =!= col("b")).count(),
-        directedEdges = directed.count(),
-        directedEdgesNoLoops = directed.filter(col("s") =!= col("d")).count(),
-        nTrips = trips.count())
+        nNodes = isStation.length.toLong, nStationNodes = nStation,
+        nCandidateNodes = isStation.length - nStation,
+        undirectedEdges = undirected.length.toLong,
+        undirectedEdgesNoLoops = undirected.count { case (a, b) => a != b }.toLong,
+        directedEdges = directed.length.toLong,
+        directedEdgesNoLoops = directed.count { case (s, d, _) => s != d }.toLong,
+        nTrips = directed.map(_._3).sum)
     }
   }
 

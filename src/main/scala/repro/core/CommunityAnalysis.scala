@@ -1,7 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import scala.collection.mutable
+import org.apache.spark.sql.SparkSession
 
 /** Community summary tables (paper Tables IV, V, VI): per community the
   * number of old (pre-existing) and new (selected) stations, and the
@@ -24,48 +24,36 @@ object CommunityAnalysis {
     }
   }
 
-  /** Build the summary from a node->community assignment.
+  /** Build the summary from a node->community assignment, in plain Scala
+    * from the selected graph's collected node flags and edge trip counts.
+    * Every node of `selected` must have a community: a missing one would
+    * silently drop its trips.
     *
     * Community ids are renumbered 1..K by descending total station count
     * then ascending min node id, mirroring the paper's table layout.
     */
   def summarize(spark: SparkSession, selected: SelectedGraph.Result,
                 community: Map[Long, Long], modularity: Double): Summary = {
-    import spark.implicits._
-    val commDf = community.toSeq.toDF("node_id", "community")
+    val tripNodes = selected.edgeTrips.keysIterator.flatMap { case (s, d) => Iterator(s, d) }
+    for (n <- selected.isNew.keysIterator ++ tripNodes)
+      require(community.contains(n), s"node $n of the selected graph has no community")
 
-    val stationCounts = selected.nodes.join(commDf, "node_id")
-      .groupBy($"community")
-      .agg(sum(when($"is_new", 0L).otherwise(1L)) as "old_st",
-           sum(when($"is_new", 1L).otherwise(0L)) as "new_st",
-           count(lit(1)) as "total_st")
-
-    val withComm = selected.trips
-      .join(commDf.select($"node_id" as "src_node", $"community" as "c_src"), "src_node")
-      .join(commDf.select($"node_id" as "dst_node", $"community" as "c_dst"), "dst_node")
-
-    val within = withComm.filter($"c_src" === $"c_dst")
-      .groupBy($"c_src").agg(count(lit(1)) as "within").withColumnRenamed("c_src", "community")
-    val out = withComm.filter($"c_src" =!= $"c_dst")
-      .groupBy($"c_src").agg(count(lit(1)) as "out").withColumnRenamed("c_src", "community")
-    val in = withComm.filter($"c_src" =!= $"c_dst")
-      .groupBy($"c_dst").agg(count(lit(1)) as "in").withColumnRenamed("c_dst", "community")
-
-    val joined = stationCounts
-      .join(within, Seq("community"), "left")
-      .join(out, Seq("community"), "left")
-      .join(in, Seq("community"), "left")
-      .select($"community", $"old_st", $"new_st", $"total_st",
-              coalesce($"within", lit(0L)) as "within",
-              coalesce($"out", lit(0L)) as "out",
-              coalesce($"in", lit(0L)) as "in")
-      .as[(Long, Long, Long, Long, Long, Long, Long)]
-      .collect()
-      .sortBy(t => (-t._4, t._1))
-
-    val rows = joined.zipWithIndex.map { case (t, i) =>
-      CommunityRow(i + 1L, t._2, t._3, t._4, t._5, t._6, t._7)
+    val stations = selected.isNew.toSeq.groupBy { case (n, _) => community(n) }
+    val within, out, in = mutable.HashMap.empty[Long, Long].withDefaultValue(0L)
+    for (((s, d), n) <- selected.edgeTrips) {
+      val (cs, cd) = (community(s), community(d))
+      if (cs == cd) within(cs) += n else { out(cs) += n; in(cd) += n }
     }
-    Summary(rows.toSeq, modularity)
+
+    val rows = stations.toSeq
+      .map { case (c, members) =>
+        val nNew = members.count(_._2).toLong
+        (c, members.size - nNew, nNew, members.size.toLong)
+      }
+      .sortBy { case (c, _, _, total) => (-total, c) }
+      .zipWithIndex.map { case ((c, old, nNew, total), i) =>
+        CommunityRow(i + 1L, old, nNew, total, within(c), out(c), in(c))
+      }
+    Summary(rows, modularity)
   }
 }

@@ -43,14 +43,9 @@ object Pipeline {
     */
   def communities(spark: SparkSession, selected: SelectedGraph.Result,
                   g: TemporalGraphs.Granularity): CommunityResult = {
-    import spark.implicits._
-    val triples = TemporalGraphs.edges(spark, selected.trips, g)
-      .select($"src".cast("long"), $"dst".cast("long"), $"weight".cast("double"))
-      .as[(Long, Long, Double)].collect().toSeq
-    val louvain = Louvain.run(triples)
+    val louvain = Louvain.run(TemporalGraphs.weights(selected.trips, g))
     // stations without edges become singleton communities
-    val allNodes = selected.nodes.select($"node_id").as[Long].collect()
-    val full = allNodes.map(n => n -> louvain.community.getOrElse(n, n)).toMap
+    val full = selected.isNew.keys.map(n => n -> louvain.community.getOrElse(n, n)).toMap
     CommunityResult(g, CommunityAnalysis.summarize(spark, selected, full, louvain.modularity))
   }
 }

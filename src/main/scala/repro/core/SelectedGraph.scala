@@ -21,24 +21,29 @@ object SelectedGraph {
     * @param trips rental_id, src_node, dst_node, start_ts (redirected)
     */
   final case class Result(nodes: DataFrame, trips: DataFrame) {
+
+    /** (src_node, dst_node) → trips, collected once: the selected graph has
+      * a few hundred nodes, so every post-selection table is plain Scala.
+      */
+    lazy val edgeTrips: Map[(Long, Long), Long] =
+      trips.groupBy(col("src_node"), col("dst_node")).count().collect()
+        .map(r => (r.getLong(0), r.getLong(1)) -> r.getLong(2)).toMap
+
+    /** node_id → is_new (selected by Algorithm 1 rather than pre-existing). */
+    lazy val isNew: Map[Long, Boolean] =
+      nodes.select(col("node_id"), col("is_new")).collect()
+        .map(r => r.getLong(0) -> r.getBoolean(1)).toMap
+
     def stats: Stats = {
       def grp(newFlag: Boolean): GroupStats = {
-        val ids = nodes.filter(col("is_new") === newFlag).select(col("node_id"))
-        val edges = trips.select(col("src_node"), col("dst_node")).distinct()
-        GroupStats(
-          stations = ids.count(),
-          tripsFrom = trips.join(ids.withColumnRenamed("node_id", "src_node"),
-                                 Seq("src_node"), "left_semi").count(),
-          tripsTo = trips.join(ids.withColumnRenamed("node_id", "dst_node"),
-                               Seq("dst_node"), "left_semi").count(),
-          edgesFrom = edges.join(ids.withColumnRenamed("node_id", "src_node"),
-                                 Seq("src_node"), "left_semi").count(),
-          edgesTo = edges.join(ids.withColumnRenamed("node_id", "dst_node"),
-                               Seq("dst_node"), "left_semi").count())
+        val from = edgeTrips.filter { case ((s, _), _) => isNew(s) == newFlag }
+        val to = edgeTrips.filter { case ((_, d), _) => isNew(d) == newFlag }
+        GroupStats(stations = isNew.count(_._2 == newFlag).toLong,
+                   tripsFrom = from.values.sum, tripsTo = to.values.sum,
+                   edgesFrom = from.size.toLong, edgesTo = to.size.toLong)
       }
-      Stats(grp(newFlag = false), grp(newFlag = true),
-            totalStations = nodes.count(), totalTrips = trips.count(),
-            totalEdges = trips.select(col("src_node"), col("dst_node")).distinct().count())
+      Stats(grp(newFlag = false), grp(newFlag = true), totalStations = isNew.size.toLong,
+            totalTrips = edgeTrips.values.sum, totalEdges = edgeTrips.size.toLong)
     }
   }
 

@@ -44,16 +44,25 @@ object TemporalGraphs {
     case THour => hour(startTs)
   }
 
-  /** Node activity profiles: node_id, slice, p (trip-endpoint count).
+  /** Trips per unordered node pair and slice: (src <= dst, slice) → n.
+    * The one Spark aggregate behind the edge weights; slices are computed
+    * in Spark, under the session time zone.
+    */
+  def sliceCounts(trips: DataFrame, g: Granularity): Map[(Long, Long, Int), Long] =
+    trips.select(least(col("src_node"), col("dst_node")) as "src",
+                 greatest(col("src_node"), col("dst_node")) as "dst",
+                 sliceCol(g, col("start_ts")) as "slice")
+      .groupBy("src", "dst", "slice").count().collect()
+      .map(r => (r.getLong(0), r.getLong(1), r.getInt(2)) -> r.getLong(3)).toMap
+
+  /** Node activity profiles: (node_id, slice) → trip-endpoint count.
     * A trip contributes both its endpoints, so any (i,j,s) trip implies
     * p_i(s) >= 1 and p_j(s) >= 1.
     */
-  def profiles(trips: DataFrame, g: Granularity): DataFrame = {
-    val withSlice = trips.withColumn("slice", sliceCol(g, col("start_ts")))
-    withSlice.select(col("src_node") as "node_id", col("slice"))
-      .unionAll(withSlice.select(col("dst_node") as "node_id", col("slice")))
-      .groupBy(col("node_id"), col("slice")).agg(count(lit(1)).cast("double") as "p")
-  }
+  def profiles(counts: Map[(Long, Long, Int), Long]): Map[(Long, Int), Long] =
+    counts.toSeq
+      .flatMap { case ((a, b, s), n) => Seq((a, s) -> n, (b, s) -> n) }
+      .groupMapReduce(_._1)(_._2)(_ + _)
 
   /** Contrast exponent on the co-activity factor (r^γ). γ=1 keeps the
     * raw factor; higher γ amplifies the separation between in-rhythm and
@@ -67,32 +76,29 @@ object TemporalGraphs {
   val DefaultGamma = 6.0
 
   /** Undirected weighted edge list (src <= dst, weight) for Louvain,
-    * with self-loops included (their trips are co-active by definition —
-    * both endpoints are the same node).
+    * sorted by (src, dst), with self-loops included (their trips are
+    * co-active by definition — both endpoints are the same node).
     */
+  def weights(trips: DataFrame, g: Granularity,
+              gamma: Double = DefaultGamma): Seq[(Long, Long, Double)] = {
+    val counts = sliceCounts(trips, g)
+    val p = profiles(counts)
+    val total = p.groupMapReduce(_._1._1)(_._2)(_ + _)
+    def q(node: Long, s: Int): Double = p((node, s)).toDouble / total(node)
+    // summed in ascending slice order, so the weights do not depend on
+    // hash iteration order
+    counts.toSeq.sortBy(_._1)
+      .map { case ((a, b, s), n) =>
+        (a, b) -> n * math.pow(g.slices * (q(a, s) + q(b, s)) / 2, gamma) }
+      .groupMapReduce(_._1)(_._2)(_ + _)
+      .toSeq.sortBy(_._1)
+      .collect { case ((a, b), w) if w > 0 => (a, b, w) }
+  }
+
+  /** [[weights]] as a DataFrame: src, dst, weight. */
   def edges(spark: SparkSession, trips: DataFrame, g: Granularity,
             gamma: Double = DefaultGamma): DataFrame = {
     import spark.implicits._
-    val perSlice = trips
-      .withColumn("slice", sliceCol(g, $"start_ts"))
-      .select(least($"src_node", $"dst_node") as "src",
-              greatest($"src_node", $"dst_node") as "dst", $"slice")
-      .groupBy($"src", $"dst", $"slice").agg(count(lit(1)).cast("double") as "w_s")
-
-    if (g == TNull)
-      return perSlice.groupBy($"src", $"dst").agg(sum($"w_s") as "weight")
-
-    val prof = profiles(trips, g)
-    val q = prof
-      .withColumn("total", sum($"p").over(
-        org.apache.spark.sql.expressions.Window.partitionBy($"node_id")))
-      .select($"node_id", $"slice", ($"p" / $"total") as "q")
-
-    perSlice
-      .join(q.select($"node_id" as "src", $"slice", $"q" as "q_src"), Seq("src", "slice"))
-      .join(q.select($"node_id" as "dst", $"slice", $"q" as "q_dst"), Seq("dst", "slice"))
-      .withColumn("r", pow(lit(g.slices) * ($"q_src" + $"q_dst") / 2, gamma))
-      .groupBy($"src", $"dst").agg(sum($"w_s" * $"r") as "weight")
-      .filter($"weight" > 0)
+    weights(trips, g, gamma).toDF("src", "dst", "weight")
   }
 }

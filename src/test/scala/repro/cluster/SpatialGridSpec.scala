@@ -40,6 +40,22 @@ class SpatialGridSpec extends SparkSpec {
     assert(grid(pts, 250.0) === brute(pts, 250.0))
   }
 
+  test("matches brute force at random latitudes in 0-70 degrees") {
+    // 100 points in a 400 m (east-west) × 150 m box per trial, so many
+    // pairs lie near the threshold along a parallel
+    val rnd = new scala.util.Random(11)
+    for (trial <- 0 until 12) {
+      val lat0 = rnd.nextDouble() * 70
+      val lon0 = rnd.nextDouble() * 40 - 20
+      val dLat = 150.0 / Haversine.MetresPerDegLat
+      val dLon = 400.0 / Haversine.metresPerDegLon(lat0)
+      val pts = (0 until 100).map { i =>
+        (i.toLong, lat0 + rnd.nextDouble() * dLat, lon0 + rnd.nextDouble() * dLon)
+      }
+      assert(grid(pts, 100.0) === brute(pts, 100.0), s"trial $trial at lat $lat0")
+    }
+  }
+
   test("no pairs when all points are far apart") {
     val pts = Seq((1L, 53.30, -6.40), (2L, 53.35, -6.30), (3L, 53.40, -6.20))
     assert(grid(pts, 100.0) === Set.empty[(Long, Long)])

@@ -1,7 +1,6 @@
 package repro.core
 
 import java.sql.Timestamp
-import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 
 /** Tests for the community summary tables (Tables IV-VI shape). */
@@ -78,42 +77,59 @@ class CommunityAnalysisSpec extends SparkSpec {
     assert(summary.modularity === 0.42)
   }
 
+  // DuckDB tables are VARCHAR: community ids are cast before ordering
+  private val rankedSql =
+    """ranked AS (
+      |  SELECT CAST(c.community AS BIGINT) AS community,
+      |         CAST(SUM(CASE WHEN n.is_new = 'true' THEN 0 ELSE 1 END) AS BIGINT) AS old_st,
+      |         CAST(SUM(CASE WHEN n.is_new = 'true' THEN 1 ELSE 0 END) AS BIGINT) AS new_st,
+      |         CAST(COUNT(*) AS BIGINT) AS total_st,
+      |         ROW_NUMBER() OVER (ORDER BY COUNT(*) DESC, CAST(c.community AS BIGINT)) AS community_id
+      |  FROM nodes n JOIN comm c ON n.node_id = c.node_id
+      |  GROUP BY c.community)""".stripMargin
+
+  private def oracleTables = {
+    import spark.implicits._
+    Seq("nodes" -> toy.nodes.select($"node_id", $"is_new".cast("string") as "is_new"),
+        "trips" -> toy.trips.select($"rental_id", $"src_node", $"dst_node"),
+        "comm" -> assign.toSeq.toDF("node_id", "community"))
+  }
+
   test("station membership counts match DuckDB oracle") {
     import spark.implicits._
-    val commDf = assign.toSeq.toDF("node_id", "community")
-    val sparkAgg = toy.nodes.join(commDf, "node_id")
-      .groupBy($"community")
-      .agg(sum(when($"is_new", 1L).otherwise(0L)) as "new_st", count(lit(1)) as "total_st")
-    Oracle.assertEquivalent(sparkAgg,
-      """SELECT c.community,
-        |CAST(SUM(CASE WHEN n.is_new = 'true' THEN 1 ELSE 0 END) AS BIGINT) AS new_st,
-        |CAST(COUNT(*) AS BIGINT) AS total_st
-        |FROM nodes n JOIN comm c ON n.node_id = c.node_id
-        |GROUP BY c.community""".stripMargin,
-      "nodes" -> toy.nodes.select($"node_id", $"is_new".cast("string") as "is_new"),
-      "comm" -> commDf)
+    val rows = summary.rows.map(r => (r.communityId, r.oldStations, r.newStations, r.totalStations))
+      .toDF("community_id", "old_st", "new_st", "total_st")
+    Oracle.assertEquivalent(rows,
+      s"""WITH $rankedSql
+         |SELECT CAST(community_id AS BIGINT) AS community_id, old_st, new_st, total_st
+         |FROM ranked""".stripMargin,
+      oracleTables: _*)
   }
 
   test("within/out/in matches DuckDB oracle") {
     import spark.implicits._
-    val commDf = assign.toSeq.toDF("node_id", "community")
-    val withComm = toy.trips
-      .join(commDf.select($"node_id" as "src_node", $"community" as "c_src"), "src_node")
-      .join(commDf.select($"node_id" as "dst_node", $"community" as "c_dst"), "dst_node")
-    val sparkAgg = withComm.groupBy($"c_src")
-      .agg(sum(when($"c_src" === $"c_dst", 1L).otherwise(0L)) as "within",
-           sum(when($"c_src" =!= $"c_dst", 1L).otherwise(0L)) as "out")
-      .withColumnRenamed("c_src", "community")
-    Oracle.assertEquivalent(sparkAgg,
-      """SELECT cs.community AS community,
-        |CAST(SUM(CASE WHEN cs.community = cd.community THEN 1 ELSE 0 END) AS BIGINT) AS within,
-        |CAST(SUM(CASE WHEN cs.community <> cd.community THEN 1 ELSE 0 END) AS BIGINT) AS "out"
-        |FROM trips t
-        |JOIN comm cs ON t.src_node = cs.node_id
-        |JOIN comm cd ON t.dst_node = cd.node_id
-        |GROUP BY cs.community""".stripMargin,
-      "trips" -> toy.trips.select($"rental_id", $"src_node", $"dst_node"),
-      "comm" -> commDf)
+    val rows = summary.rows.map(r => (r.communityId, r.within, r.out, r.in))
+      .toDF("community_id", "within", "out", "in")
+    Oracle.assertEquivalent(rows,
+      s"""WITH $rankedSql,
+         |tc AS (
+         |  SELECT CAST(cs.community AS BIGINT) AS c_src, CAST(cd.community AS BIGINT) AS c_dst
+         |  FROM trips t
+         |  JOIN comm cs ON t.src_node = cs.node_id
+         |  JOIN comm cd ON t.dst_node = cd.node_id)
+         |SELECT CAST(r.community_id AS BIGINT) AS community_id,
+         |  CAST((SELECT COUNT(*) FROM tc WHERE c_src = r.community AND c_dst = r.community) AS BIGINT) AS within,
+         |  CAST((SELECT COUNT(*) FROM tc WHERE c_src = r.community AND c_dst <> r.community) AS BIGINT) AS "out",
+         |  CAST((SELECT COUNT(*) FROM tc WHERE c_dst = r.community AND c_src <> r.community) AS BIGINT) AS "in"
+         |FROM ranked r""".stripMargin,
+      oracleTables: _*)
+  }
+
+  test("a node missing from the community map fails instead of dropping its trips") {
+    val e = intercept[IllegalArgumentException] {
+      CommunityAnalysis.summarize(spark, toy, assign - 4L, modularity = 0.0)
+    }
+    assert(e.getMessage.contains("node 4 "))
   }
 
   test("empty communities never appear (every row has >= 1 station)") {

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.data.{Cleaning, MobySynth}
 import repro.geo.Haversine
@@ -83,15 +82,24 @@ class SelectedGraphSpec extends SparkSpec {
 
   test("trips-from per group matches DuckDB oracle") {
     import spark.implicits._
-    val flags = graph.nodes.select($"node_id" as "src_node", $"is_new")
-    val sparkAgg = graph.trips.join(flags, "src_node")
-      .groupBy($"is_new").agg(count(lit(1)) as "n")
-      .select($"is_new".cast("string") as "is_new", $"n")
-    Oracle.assertEquivalent(sparkAgg,
-      """SELECT n.is_new AS is_new, CAST(COUNT(*) AS BIGINT) AS n
-        |FROM trips t JOIN nodes n ON t.src_node = n.node_id
-        |GROUP BY n.is_new""".stripMargin,
-      "trips" -> graph.trips.select($"rental_id", $"src_node"),
+    val groups = Seq("false" -> stats.preExisting, "true" -> stats.selected)
+      .map { case (f, g) => (f, g.stations, g.tripsFrom, g.tripsTo, g.edgesFrom, g.edgesTo) }
+      .toDF("is_new", "stations", "trips_from", "trips_to", "edges_from", "edges_to")
+    Oracle.assertEquivalent(groups,
+      """WITH e AS (
+        |  SELECT src_node, dst_node, COUNT(*) AS n FROM trips GROUP BY src_node, dst_node)
+        |SELECT g.is_new AS is_new,
+        |  CAST((SELECT COUNT(*) FROM nodes m WHERE m.is_new = g.is_new) AS BIGINT) AS stations,
+        |  CAST((SELECT SUM(e.n) FROM e JOIN nodes m ON e.src_node = m.node_id
+        |        WHERE m.is_new = g.is_new) AS BIGINT) AS trips_from,
+        |  CAST((SELECT SUM(e.n) FROM e JOIN nodes m ON e.dst_node = m.node_id
+        |        WHERE m.is_new = g.is_new) AS BIGINT) AS trips_to,
+        |  CAST((SELECT COUNT(*) FROM e JOIN nodes m ON e.src_node = m.node_id
+        |        WHERE m.is_new = g.is_new) AS BIGINT) AS edges_from,
+        |  CAST((SELECT COUNT(*) FROM e JOIN nodes m ON e.dst_node = m.node_id
+        |        WHERE m.is_new = g.is_new) AS BIGINT) AS edges_to
+        |FROM (SELECT DISTINCT is_new FROM nodes) g""".stripMargin,
+      "trips" -> graph.trips.select($"src_node", $"dst_node"),
       "nodes" -> graph.nodes.select($"node_id", $"is_new".cast("string") as "is_new"))
   }
 

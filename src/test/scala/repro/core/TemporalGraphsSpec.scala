@@ -74,14 +74,13 @@ class TemporalGraphsSpec extends SparkSpec {
 
   test("profiles count trip endpoints per slice") {
     import spark.implicits._
-    val p = profiles(toyTrips, TDay).as[(Long, Int, Double)].collect()
-      .map(t => (t._1, t._2) -> t._3).toMap
+    val p = profiles(sliceCounts(toyTrips, TDay))
     // node 1: trips 1 (Mon, src), 2 (Mon, dst), 3 (Sat, src)
-    assert(p((1L, 0)) === 2.0)
-    assert(p((1L, 5)) === 1.0)
+    assert(p((1L, 0)) === 2L)
+    assert(p((1L, 5)) === 1L)
     // node 3: trip 4 self (Wed) counts both endpoints + trip 5 dst (Sat)
-    assert(p((3L, 2)) === 2.0)
-    assert(p((3L, 5)) === 1.0)
+    assert(p((3L, 2)) === 2L)
+    assert(p((3L, 5)) === 1L)
   }
 
   test("TDay weights match the hand-computed co-activity factors (gamma=1)") {
@@ -157,31 +156,36 @@ class TemporalGraphsSpec extends SparkSpec {
 
   test("co-activity weight of an edge matches a DuckDB reference (oracle)") {
     import spark.implicits._
-    // independent relational formulation of the same computation at γ=1
-    val sparkEdges = edges(spark, toyTrips, TDay, gamma = 1.0)
-      .select($"src", $"dst", round($"weight", 6) as "weight")
-    Oracle.assertEquivalent(sparkEdges,
-      """WITH t AS (
-        |  SELECT LEAST(CAST(src_node AS BIGINT), CAST(dst_node AS BIGINT)) AS src,
-        |         GREATEST(CAST(src_node AS BIGINT), CAST(dst_node AS BIGINT)) AS dst,
-        |         CAST(slice AS BIGINT) AS slice
-        |  FROM trips),
-        |ends AS (
-        |  SELECT src AS node_id, slice FROM t
-        |  UNION ALL SELECT dst, slice FROM t),
-        |p AS (
-        |  SELECT node_id, slice, CAST(COUNT(*) AS DOUBLE) AS p
-        |  FROM ends GROUP BY node_id, slice),
-        |q AS (
-        |  SELECT node_id, slice, p / SUM(p) OVER (PARTITION BY node_id) AS q FROM p)
-        |SELECT t.src, t.dst,
-        |       ROUND(SUM(7 * (qs.q + qd.q) / 2), 6) AS weight
-        |FROM t
-        |JOIN q qs ON qs.node_id = t.src AND qs.slice = t.slice
-        |JOIN q qd ON qd.node_id = t.dst AND qd.slice = t.slice
-        |GROUP BY t.src, t.dst""".stripMargin,
-      "trips" -> toyTrips.select($"src_node", $"dst_node",
-        sliceCol(TDay, $"start_ts") as "slice"))
+    // independent relational formulation of the same computation, at the
+    // granularities and the γ the tables use; weights are compared as
+    // w / |S|^γ so that six decimals stay meaningful at r^γ up to 24^6
+    for (g <- Seq(TDay, THour); gamma <- Seq(1.0, DefaultGamma)) {
+      val scale = math.pow(g.slices, gamma)
+      val sparkEdges = edges(spark, toyTrips, g, gamma)
+        .select($"src", $"dst", round($"weight" / scale, 6) as "weight")
+      Oracle.assertEquivalent(sparkEdges,
+        s"""WITH t AS (
+          |  SELECT LEAST(CAST(src_node AS BIGINT), CAST(dst_node AS BIGINT)) AS src,
+          |         GREATEST(CAST(src_node AS BIGINT), CAST(dst_node AS BIGINT)) AS dst,
+          |         CAST(slice AS BIGINT) AS slice
+          |  FROM trips),
+          |ends AS (
+          |  SELECT src AS node_id, slice FROM t
+          |  UNION ALL SELECT dst, slice FROM t),
+          |p AS (
+          |  SELECT node_id, slice, CAST(COUNT(*) AS DOUBLE) AS p
+          |  FROM ends GROUP BY node_id, slice),
+          |q AS (
+          |  SELECT node_id, slice, p / SUM(p) OVER (PARTITION BY node_id) AS q FROM p)
+          |SELECT t.src, t.dst,
+          |       ROUND(SUM(POWER(${g.slices} * (qs.q + qd.q) / 2, $gamma)) / $scale, 6) AS weight
+          |FROM t
+          |JOIN q qs ON qs.node_id = t.src AND qs.slice = t.slice
+          |JOIN q qd ON qd.node_id = t.dst AND qd.slice = t.slice
+          |GROUP BY t.src, t.dst""".stripMargin,
+        "trips" -> toyTrips.select($"src_node", $"dst_node",
+          sliceCol(g, $"start_ts") as "slice"))
+    }
   }
 
   test("edges are always unordered (src <= dst)") {
