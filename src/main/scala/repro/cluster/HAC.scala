@@ -1,129 +1,83 @@
 package repro.cluster
 
-import org.apache.spark.graphx.{Edge, Graph}
+import scala.collection.mutable
+import scala.math.Ordering.Double.TotalOrdering
+
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
 import repro.geo.Haversine
 
 /** Complete-linkage hierarchical agglomerative clustering with a diameter
   * cut (the paper's §IV-A graph-construction step).
   *
-  * Exactness at scale: under complete linkage with cut `cutM`, no cluster
-  * may contain two points further than `cutM` apart, so clusters can never
-  * span two connected components of the "within cutM" proximity graph.
-  * We therefore:
+  * Under a cut `cutM`, two clusters merge only while their linkage, the
+  * largest distance between their members, is at most `cutM`, and a merge
+  * only raises linkages. A pair of points further apart than `cutM` can
+  * therefore only ever block a merge, so dropping every such pair and
+  * reading a missing pair as "never merges" is exact (SparseHC, Nguyen,
+  * Zheng & Chen, ICCS 2014). Proximity components are implicit: no pair
+  * links two of them. We therefore:
   *
-  *   1. build ≤`cutM` neighbour pairs with [[SpatialGrid]] (Spark SQL);
-  *   2. partition points into proximity components with GraphX
-  *      connected components (message passing);
-  *   3. run *exact* complete-linkage HAC independently inside each
-  *      component (`flatMapGroups`, executor-side, O(k²) per component);
-  *   4. optionally enforce the paper's Rule 2 (cluster centroids >= 50 m
-  *      apart) by iteratively merging the closest centroid pair below the
-  *      threshold (driver-side; cluster count is ~1k).
+  *   1. build the ≤`cutM` neighbour pairs with [[SpatialGrid]] (Spark SQL)
+  *      and collect them with the points;
+  *   2. run exact complete linkage over those pairs on the driver;
+  *   3. optionally enforce the paper's Rule 2 (cluster centroids >= 50 m
+  *      apart) on the same driver-side labels by iteratively merging the
+  *      closest centroid pair below the threshold.
   *
   * Cluster ids are the minimum member point id — stable and deterministic.
   */
 object HAC {
 
-  /** Assignment of one point to its cluster. */
-  final case class Assignment(id: Long, cluster_id: Long)
-
-  /** One cluster centroid. */
-  final case class Centroid(cluster_id: Long, c_lat: Double, c_lon: Double, n_points: Long)
-
   final case class Result(assignment: DataFrame, centroids: DataFrame)
 
-  /** Exact complete-linkage agglomeration with diameter cut, on one
-    * component. Input arrays are parallel (ids, lats, lons); returns the
-    * cluster label (index into [0, nClusters)) per point.
+  /** Exact complete-linkage agglomeration with diameter cut over `n` points
+    * indexed in ascending id order, given their pairs (i, j, distance) with
+    * i < j; pairs above `cutM` are ignored. Returns, per point, the index
+    * of its cluster's least member.
     *
-    * Classic nearest-neighbour agglomeration over a packed distance
-    * matrix; complete linkage is monotone, so greedily merging the global
-    * minimum until it exceeds `cutM` is exactly the dendrogram cut.
+    * Each live cluster keeps a map from neighbouring clusters to their
+    * linkage; a queue holds every linkage and skips entries a merge made
+    * stale. Merges go least linkage first, ties to the pair whose lower
+    * cluster has the least member, then to the other cluster's least
+    * member. Complete linkage is monotone, so merging until no linkage is
+    * left is exactly the dendrogram cut.
     */
-  private[cluster] def localCompleteLinkage(
-      ids: Array[Long], lats: Array[Double], lons: Array[Double], cutM: Double): Array[Int] = {
-    val n = ids.length
-    require(n <= 30000, s"HAC component too large: $n points")
-    if (n == 1) return Array(0)
-
-    // packed upper-triangular complete-linkage distance matrix
-    val d = new Array[Double](n * (n - 1) / 2)
-    @inline def ix(i: Int, j: Int): Int = {
-      val (a, b) = if (i < j) (i, j) else (j, i)
-      a * n - a * (a + 1) / 2 + (b - a - 1)
-    }
-    var i = 0
-    while (i < n) {
-      var j = i + 1
-      while (j < n) {
-        d(ix(i, j)) = Haversine.metres(lats(i), lons(i), lats(j), lons(j))
-        j += 1
-      }
-      i += 1
+  private[cluster] def completeLinkage(
+      n: Int, pairs: Iterable[(Int, Int, Double)], cutM: Double): Array[Int] = {
+    val nbr = Array.fill(n)(mutable.HashMap.empty[Int, Double])
+    // (linkage, lo, hi) with lo < hi, least first
+    val queue = mutable.PriorityQueue.empty[(Double, Int, Int)](Ordering[(Double, Int, Int)].reverse)
+    for ((i, j, d) <- pairs if d <= cutM) {
+      nbr(i)(j) = d; nbr(j)(i) = d
+      queue.enqueue((d, i, j))
     }
 
-    val active = Array.fill(n)(true)
-    val parent = Array.tabulate(n)(identity) // representative merge target
-    val nn = new Array[Int](n)
-    val nnd = new Array[Double](n)
-
-    def rescan(k: Int): Unit = {
-      var best = -1; var bestD = Double.MaxValue
-      var j = 0
-      while (j < n) {
-        if (j != k && active(j)) {
-          val dd = d(ix(k, j))
-          if (dd < bestD || (dd == bestD && (best == -1 || j < best))) { bestD = dd; best = j }
+    val parent = Array.tabulate(n)(identity)
+    while (queue.nonEmpty) {
+      val (d, lo, hi) = queue.dequeue()
+      if (parent(lo) == lo && parent(hi) == hi && nbr(lo).get(hi).contains(d)) {
+        // merge hi into lo, keeping only the neighbours both share, each at
+        // the larger of its two linkages
+        val (a, b) = (nbr(lo), nbr(hi))
+        parent(hi) = lo; nbr(hi) = null
+        a.remove(hi); b.remove(lo)
+        for (k <- b.keysIterator) nbr(k).remove(hi)
+        val merged = mutable.HashMap.empty[Int, Double]
+        for ((k, da) <- a) b.get(k) match {
+          case Some(db) =>
+            merged(k) = math.max(da, db)
+            if (db > da) {
+              nbr(k)(lo) = db
+              queue.enqueue((db, math.min(lo, k), math.max(lo, k)))
+            }
+          case None => nbr(k).remove(lo)
         }
-        j += 1
-      }
-      nn(k) = best; nnd(k) = bestD
-    }
-    i = 0
-    while (i < n) { rescan(i); i += 1 }
-
-    var nActive = n
-    var continue = true
-    while (continue && nActive > 1) {
-      var a = -1; var bestD = Double.MaxValue
-      var k = 0
-      while (k < n) {
-        if (active(k) && (nnd(k) < bestD || (nnd(k) == bestD && (a == -1 || k < a)))) {
-          bestD = nnd(k); a = k
-        }
-        k += 1
-      }
-      if (bestD > cutM) continue = false
-      else {
-        val b = nn(a)
-        val (lo, hi) = if (a < b) (a, b) else (b, a)
-        // merge hi into lo: complete linkage takes the max distance
-        var j = 0
-        while (j < n) {
-          if (active(j) && j != lo && j != hi)
-            d(ix(lo, j)) = math.max(d(ix(lo, j)), d(ix(hi, j)))
-          j += 1
-        }
-        active(hi) = false; parent(hi) = lo; nActive -= 1
-        if (nActive > 1) {
-          rescan(lo)
-          // distances to lo only grew and hi vanished: refresh anyone
-          // whose cached nearest neighbour was lo or hi
-          j = 0
-          while (j < n) {
-            if (active(j) && j != lo && (nn(j) == lo || nn(j) == hi)) rescan(j)
-            j += 1
-          }
-        }
+        nbr(lo) = merged
       }
     }
-
-    def root(k: Int): Int = { var r = k; while (parent(r) != r) r = parent(r); r }
-    val labelOf = scala.collection.mutable.HashMap.empty[Int, Int]
-    Array.tabulate(n) { k => labelOf.getOrElseUpdate(root(k), labelOf.size) }
+    // a cluster's parent has a lower index, so one ascending pass finds roots
+    for (k <- 0 until n) parent(k) = parent(parent(k))
+    parent
   }
 
   /** Cluster `points` (columns: id, lat, lon) with complete linkage and
@@ -133,85 +87,60 @@ object HAC {
   def cluster(spark: SparkSession, points: DataFrame, cutM: Double,
               minCentroidSepM: Double = 0.0): Result = {
     import spark.implicits._
-    val pts = points.select($"id".cast("long"), $"lat".cast("double"), $"lon".cast("double")).cache()
+    val pts = points.select($"id".cast("long"), $"lat".cast("double"), $"lon".cast("double"))
+      .as[(Long, Double, Double)].collect().sortBy(_._1)
+    val ids = pts.map(_._1); val lats = pts.map(_._2); val lons = pts.map(_._3)
+    val n = ids.length
 
-    val pairs = SpatialGrid.neighbourPairs(spark, pts, cutM)
-
-    // GraphX connected components over the proximity graph; isolated
-    // points keep their own id as component.
-    val vertices = pts.select($"id").as[Long].rdd.map(id => (id, ()))
-    val edges = pairs.select($"id_a", $"id_b").as[(Long, Long)].rdd
-      .map { case (a, b) => Edge(a, b, ()) }
-    val comp = Graph(vertices, edges).connectedComponents()
-      .vertices.map { case (id, c) => (id, c) }
-      .toDF("id", "comp")
-
-    val withComp = pts.join(comp, "id")
-
-    val assigned = withComp
-      .select($"comp", $"id", $"lat", $"lon")
-      .as[(Long, Long, Double, Double)]
-      .groupByKey(_._1)
-      .flatMapGroups { (comp, it) =>
-        val members = it.toArray.sortBy(_._2) // deterministic order by id
-        val labels = localCompleteLinkage(
-          members.map(_._2), members.map(_._3), members.map(_._4), cutM)
-        members.indices.map(k => (members(k)._2, comp, labels(k)))
+    val pairs = SpatialGrid.neighbourPairs(spark, pts.toSeq.toDF("id", "lat", "lon"), cutM)
+      .select($"id_a", $"id_b").as[(Long, Long)].collect()
+      .map { case (a, b) =>
+        val (i, j) = (java.util.Arrays.binarySearch(ids, a), java.util.Arrays.binarySearch(ids, b))
+        (i, j, Haversine.metres(lats(i), lons(i), lats(j), lons(j)))
       }
-      .toDF("id", "comp", "label")
-      .withColumn("cluster_id", min($"id").over(Window.partitionBy($"comp", $"label")))
-      .select($"id", $"cluster_id")
-      .localCheckpoint(true) // truncate GraphX/flatMapGroups lineage
+    val parent = completeLinkage(n, pairs, cutM)
 
-    val base = assigned.join(pts, "id")
-      .groupBy($"cluster_id")
-      .agg(avg($"lat") as "c_lat", avg($"lon") as "c_lon", count(lit(1)) as "n_points")
-
-    if (minCentroidSepM <= 0) {
-      Result(assigned, base.select($"cluster_id", $"c_lat", $"c_lon", $"n_points"))
-    } else {
-      // driver-side proximity merge: cluster count is ~1k, so O(k²) scans
-      // per merge are cheap; merge the closest violating pair first.
-      final case class C(var cid: Long, var lat: Double, var lon: Double, var n: Long)
-      val cs = base.select($"cluster_id", $"c_lat", $"c_lon", $"n_points")
-        .as[(Long, Double, Double, Long)].collect()
-        .sortBy(_._1).map(t => C(t._1, t._2, t._3, t._4))
-        .toBuffer
-      val remap = scala.collection.mutable.HashMap.empty[Long, Long]
-      var done = false
-      while (!done) {
-        var bi = -1; var bj = -1; var bd = Double.MaxValue
-        var i = 0
-        while (i < cs.size) {
-          var j = i + 1
-          while (j < cs.size) {
-            val dd = Haversine.metres(cs(i).lat, cs(i).lon, cs(j).lat, cs(j).lon)
-            if (dd < minCentroidSepM && dd < bd) { bd = dd; bi = i; bj = j }
-            j += 1
-          }
-          i += 1
-        }
-        if (bi < 0) done = true
-        else {
-          val (keep, drop) = (cs(bi), cs(bj))
-          val tot = keep.n + drop.n
-          keep.lat = (keep.lat * keep.n + drop.lat * drop.n) / tot
-          keep.lon = (keep.lon * keep.n + drop.lon * drop.n) / tot
-          val newCid = math.min(keep.cid, drop.cid)
-          remap(drop.cid) = newCid
-          remap(keep.cid) = newCid
-          // re-route earlier remaps that pointed at either member, in place
-          remap.mapValuesInPlace((_, v) => if (v == keep.cid || v == drop.cid) newCid else v)
-          keep.cid = newCid; keep.n = tot
-          cs.remove(bj)
-        }
-      }
-      val remapDf = remap.toSeq.toDF("cluster_id", "new_cluster_id")
-      val reassigned = assigned.join(remapDf, Seq("cluster_id"), "left")
-        .select($"id", coalesce($"new_cluster_id", $"cluster_id") as "cluster_id")
-      val cents = cs.toSeq.map(c => (c.cid, c.lat, c.lon, c.n))
-        .toDF("cluster_id", "c_lat", "c_lon", "n_points")
-      Result(reassigned, cents)
+    // centroids, summed in id order
+    val (sumLat, sumLon, count) = (new Array[Double](n), new Array[Double](n), new Array[Long](n))
+    for (k <- 0 until n) {
+      val r = parent(k)
+      sumLat(r) += lats(k); sumLon(r) += lons(k); count(r) += 1
     }
+    final case class C(root: Int, var lat: Double, var lon: Double, var n: Long)
+    val cs = (0 until n).filter(r => parent(r) == r)
+      .map(r => C(r, sumLat(r) / count(r), sumLon(r) / count(r), count(r))).toBuffer
+
+    // Rule 2: rescan every centroid pair per merge (O(k²)) and merge the
+    // closest violating pair first into the one with the lower id
+    var done = minCentroidSepM <= 0
+    while (!done) {
+      var bi = -1; var bj = -1; var bd = Double.MaxValue
+      var i = 0
+      while (i < cs.size) {
+        var j = i + 1
+        while (j < cs.size) {
+          val dd = Haversine.metres(cs(i).lat, cs(i).lon, cs(j).lat, cs(j).lon)
+          if (dd < minCentroidSepM && dd < bd) { bd = dd; bi = i; bj = j }
+          j += 1
+        }
+        i += 1
+      }
+      if (bi < 0) done = true
+      else {
+        val (keep, drop) = (cs(bi), cs(bj))
+        val tot = keep.n + drop.n
+        keep.lat = (keep.lat * keep.n + drop.lat * drop.n) / tot
+        keep.lon = (keep.lon * keep.n + drop.lon * drop.n) / tot
+        keep.n = tot
+        parent(drop.root) = keep.root
+        cs.remove(bj)
+      }
+    }
+    // Rule 2 merged roots into lower roots: one more ascending pass
+    for (k <- 0 until n) parent(k) = parent(parent(k))
+
+    Result(
+      ids.indices.map(k => (ids(k), ids(parent(k)))).toDF("id", "cluster_id"),
+      cs.toSeq.map(c => (ids(c.root), c.lat, c.lon, c.n)).toDF("cluster_id", "c_lat", "c_lon", "n_points"))
   }
 }

@@ -13,11 +13,16 @@ class HACSpec extends SparkSpec {
   private def at(baseLat: Double, baseLon: Double, dxM: Double, dyM: Double): (Double, Double) =
     (baseLat + dyM / mLat, baseLon + dxM / mLon(baseLat))
 
-  // ---- localCompleteLinkage ----
+  // ---- completeLinkage ----
 
+  /** Driver-side linkage over the <= `cut` pairs, found by brute force. */
   private def local(pts: Seq[(Long, Double, Double)], cut: Double): Map[Long, Int] = {
     val arr = pts.sortBy(_._1).toArray
-    val labels = HAC.localCompleteLinkage(arr.map(_._1), arr.map(_._2), arr.map(_._3), cut)
+    val pairs = for {
+      i <- arr.indices; j <- i + 1 until arr.length
+      d = Haversine.metres(arr(i)._2, arr(i)._3, arr(j)._2, arr(j)._3) if d <= cut
+    } yield (i, j, d)
+    val labels = HAC.completeLinkage(arr.length, pairs, cut)
     arr.map(_._1).zip(labels).toMap
   }
 
@@ -73,21 +78,24 @@ class HACSpec extends SparkSpec {
   }
 
   test("matches naive exact HAC on small random instances") {
-    // naive: repeatedly merge the globally closest pair of clusters under
-    // complete linkage until min distance > cut
+    // naive: repeatedly merge the closest pair of clusters under complete
+    // linkage until min distance > cut; ties go to the pair whose lower
+    // cluster has the least member id, then to the other's least member id
     def naive(pts: Seq[(Long, Double, Double)], cut: Double): Set[Set[Long]] = {
       var clusters = pts.map(p => Set(p._1)).toList
       val coord = pts.map(p => p._1 -> (p._2, p._3)).toMap
-      def cl(a: Set[Long], b: Set[Long]): Double =
-        (for (x <- a; y <- b) yield {
-          val (la1, lo1) = coord(x); val (la2, lo2) = coord(y)
-          Haversine.metres(la1, lo1, la2, lo2)
-        }).max
+      def dist(x: Long, y: Long): Double = {
+        val ((la1, lo1), (la2, lo2)) = (coord(x min y), coord(x max y))
+        Haversine.metres(la1, lo1, la2, lo2)
+      }
+      def cl(a: Set[Long], b: Set[Long]): Double = (for (x <- a; y <- b) yield dist(x, y)).max
       var done = false
       while (!done && clusters.size > 1) {
-        val pairs = for (i <- clusters.indices; j <- i + 1 until clusters.size)
-          yield (i, j, cl(clusters(i), clusters(j)))
-        val (i, j, d) = pairs.minBy(t => (t._3, t._1, t._2))
+        val pairs = for (i <- clusters.indices; j <- i + 1 until clusters.size) yield {
+          val (lo, hi) = (clusters(i).min min clusters(j).min, clusters(i).min max clusters(j).min)
+          (i, j, cl(clusters(i), clusters(j)), lo, hi)
+        }
+        val (i, j, d, _, _) = pairs.minBy(t => (t._3, t._4, t._5))
         if (d > cut) done = true
         else {
           val merged = clusters(i) ++ clusters(j)
@@ -97,16 +105,32 @@ class HACSpec extends SparkSpec {
       }
       clusters.toSet
     }
+    def check(what: String, pts: Seq[(Long, Double, Double)]): Unit = {
+      val mine = local(pts, 100.0)
+      val mineSets = pts.groupBy(p => mine(p._1)).values.map(_.map(_._1).toSet).toSet
+      assert(mineSets === naive(pts, 100.0), s"$what mismatch")
+    }
     val rnd = new scala.util.Random(33)
     (1 to 8).foreach { trial =>
       val pts = (0 until 25).map { i =>
         val (la, lo) = at(53.33, -6.26, rnd.nextDouble() * 400, rnd.nextDouble() * 400)
         (i.toLong, la, lo)
       }
-      val mine = local(pts, 100.0)
-      val mineSets = pts.groupBy(p => mine(p._1)).values.map(_.map(_._1).toSet).toSet
-      assert(mineSets === naive(pts, 100.0), s"trial $trial mismatch")
+      check(s"trial $trial", pts)
     }
+    // duplicated coordinates: many exact ties, at distance 0 and between
+    // the same two sites
+    (1 to 4).foreach { trial =>
+      val sites = IndexedSeq.fill(8)(at(53.33, -6.26, rnd.nextDouble() * 200, rnd.nextDouble() * 200))
+      val pts = (0 until 25).map { i => val (la, lo) = sites(rnd.nextInt(sites.size)); (i.toLong, la, lo) }
+      check(s"duplicates trial $trial", pts)
+    }
+    // a 6 x 6 lattice on dyadic degrees (about 27 m by 32 m), so equal
+    // offsets give bitwise-equal distances; ids row by row, then shuffled
+    val lattice = for (r <- 0 until 6; c <- 0 until 6) yield (53.25 + r / 4096.0, -6.25 + c / 2048.0)
+    check("lattice", lattice.zipWithIndex.map { case ((la, lo), i) => (i.toLong, la, lo) })
+    val shuffledIds = rnd.shuffle(lattice.indices.map(_.toLong))
+    check("lattice, shuffled ids", lattice.zip(shuffledIds).map { case ((la, lo), i) => (i, la, lo) })
   }
 
   // ---- distributed cluster() ----
@@ -247,8 +271,33 @@ class HACSpec extends SparkSpec {
       val (la, lo) = at(53.33, -6.26, rnd.nextDouble() * 800, rnd.nextDouble() * 800)
       (i.toLong, la, lo)
     }
-    val a = runCluster(pts, 100.0, 50.0).assignment.as[(Long, Long)].collect().toMap
-    val b = runCluster(pts, 100.0, 50.0).assignment.as[(Long, Long)].collect().toMap
+    def collected(r: HAC.Result) = (
+      r.assignment.as[(Long, Long)].collect().toMap,
+      r.centroids.select("cluster_id", "c_lat", "c_lon", "n_points")
+        .as[(Long, Double, Double, Long)].collect().sortBy(_._1).toSeq)
+    val a = collected(runCluster(pts, 100.0, 50.0))
+    val b = collected(runCluster(pts, 100.0, 50.0))
     assert(a === b)
+    // partition count and row order must not change the result
+    val repartitioned = rnd.shuffle(pts).toDF("id", "lat", "lon").repartition(5)
+    assert(collected(HAC.cluster(spark, repartitioned, 100.0, 50.0)) === a)
+  }
+
+  test("cluster(): a 30,001-point chain clusters without a size guard") {
+    import spark.implicits._
+    // one proximity component: neighbours 60 m apart along a meridian
+    val pts = (0 to 30000).map { i => val (la, lo) = at(53.33, -6.26, 0, i * 60.0); (i.toLong, la, lo) }
+    val assign = runCluster(pts, 100.0).assignment.as[(Long, Long)].collect()
+    assert(assign.map(_._1).sorted.toSeq === pts.map(_._1))
+    val clusterOf = assign.toMap
+    val members = assign.groupBy(_._2).map { case (c, ms) => c -> ms.map(_._1).toSeq }
+    def linkage(a: Seq[Long], b: Seq[Long]): Double =
+      (for (x <- a; y <- b) yield
+        Haversine.metres(pts(x.toInt)._2, pts(x.toInt)._3, pts(y.toInt)._2, pts(y.toInt)._3)).max
+    members.values.foreach(ms => assert(linkage(ms, ms) <= 100.0, s"diameter of $ms"))
+    for (k <- 0 until 30000 if clusterOf(k.toLong) != clusterOf(k + 1L)) {
+      val (a, b) = (members(clusterOf(k.toLong)), members(clusterOf(k + 1L)))
+      assert(linkage(a, b) > 100.0, s"adjacent clusters $a and $b could merge")
+    }
   }
 }
