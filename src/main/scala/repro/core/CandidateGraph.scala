@@ -92,8 +92,9 @@ object CandidateGraph {
               ($"cluster_id" + CandidateOffset) as "node_id",
               $"station_dist_m")
 
-    // eager localCheckpoint (not cache): truncates the HAC/cross-join
-    // lineage so downstream plans stay small (see MobySynth.generate)
+    // eager localCheckpoint (not cache): the assignment is evaluated once,
+    // and the trip mapping, Table II and selection plan from its partitions
+    // instead of re-running the nearest-station cross join and window
     val assignment = preAssigned.unionByName(clustered).localCheckpoint(true)
 
     val stationNodes = data.stations.select(

@@ -1,10 +1,13 @@
 package repro.data
 
 import java.sql.Timestamp
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
+import scala.collection.mutable
+import scala.jdk.CollectionConverters._
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.catalyst.expressions.XXH64
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
+import org.apache.spark.unsafe.types.UTF8String
 import repro.geo.Haversine
 import MobySchema._
 
@@ -26,9 +29,12 @@ import MobySchema._
   *   - dirty rows calibrated so cleaning reproduces Table I exactly at
   *     sf=1: 3 bad stations, 83 bad locations, 452 bad rentals.
   *
-  * Everything is a pure function of (sf, seed): randomness comes from
-  * xxhash64 over row ids, never from `rand()`, so repeated evaluation of
-  * the same DataFrame is stable and the DuckDB oracle sees identical data.
+  * Everything is a pure function of (sf, seed): each row's randomness is
+  * xxhash64 over (seed, salt, row id), never `rand()`. The tables are drawn
+  * in one pass over plain arrays on the driver, with Spark's own XXH64, so
+  * every uniform equals the SQL expression `pmod(xxhash64(seed, salt, id),
+  * 1000003) / 1000003.0`; only the good rentals' timestamps are computed
+  * by Spark, under the session time zone.
   */
 object MobySynth {
 
@@ -91,7 +97,7 @@ object MobySynth {
 
   // ---- temporal profiles (unnormalised weights; normalised in cdf()) ----
 
-  private val DayWeights: Map[String, Seq[Double]] = Map(
+  private[data] val DayWeights: Map[String, Seq[Double]] = Map(
     Archetype.Centre   -> Seq(16, 16, 16, 16, 16, 10, 10),
     Archetype.Commuter -> Seq(17, 17, 17, 17, 16, 8, 8),
     Archetype.Leisure  -> Seq(9, 9, 9, 9, 14, 25, 25),
@@ -103,7 +109,7 @@ object MobySynth {
     * have, and what differentiates the paper's 10 G_Hour communities
     * beyond its 7 G_Day ones.
     */
-  private val HourWeights: Map[String, Seq[Double]] = Map(
+  private[data] val HourWeights: Map[String, Seq[Double]] = Map(
     Archetype.Centre -> Seq(0.4, 0.2, 0.1, 0.1, 0.2, 0.6, 1.5, 3.5, 5.5, 6.0, 6.0, 6.5,
                             7.0, 6.5, 6.0, 6.0, 6.5, 7.0, 6.5, 5.0, 3.5, 2.5, 1.5, 0.8),
     "commuter-am" -> Seq(0.3, 0.15, 0.1, 0.1, 0.3, 1.5, 6.0, 14.0, 18.0, 8.0, 3.0, 2.5,
@@ -117,7 +123,7 @@ object MobySynth {
   )
 
   /** (archetype, bucket, lo, hi) cumulative rows for inverse-CDF sampling. */
-  private def cdfRows(weights: Map[String, Seq[Double]]): Seq[(String, Int, Double, Double)] =
+  private[data] def cdfRows(weights: Map[String, Seq[Double]]): Seq[(String, Int, Double, Double)] =
     weights.toSeq.sortBy(_._1).flatMap { case (a, ws) =>
       val total = ws.sum
       val cum = ws.scanLeft(0.0)(_ + _)
@@ -180,8 +186,8 @@ object MobySynth {
     val wH = anchorWeights("hotspot", c.hotspots); val sH = wH.sum
     def baseW(a: Anchor): Double =
       if (a.cls == "station") 0.7 * wS(a.idx.toInt) / sS else 0.3 * wH(a.idx.toInt) / sH
-    anchorSeq.groupBy(_.region).toSeq.sortBy(_._1).flatMap { case (region, as) =>
-      val sorted = as.sortBy(a => (a.cls, a.idx))
+    anchorSeq.map(_.region).distinct.sorted.flatMap { region =>
+      val sorted = anchorSeq.filter(_.region == region).sortBy(a => (a.cls, a.idx))
       val ws = sorted.map(a => math.pow(baseW(a), DestSharpen))
       val tot = ws.sum
       val cum = ws.scanLeft(0.0)(_ + _)
@@ -211,211 +217,223 @@ object MobySynth {
   private val DominantArchetypeP = 0.85
   private val NWeeks = 88 // Mondays 2020-01-06 .. 2021-09-06, all trips < 2021-09-19
 
+  /** Seed of Spark's `xxhash64` SQL function. */
+  private val XxSeed = 42L
+
+  /** Deterministic uniform in [0,1) from (seed, salt, keys): exactly the
+    * Spark SQL value of `pmod(xxhash64(seed, salt, keys...), 1000003) /
+    * 1000003.0` for a bigint seed, an int salt and bigint keys, chained
+    * through Spark's own XXH64.
+    */
+  private[data] def uniform(seed: Long, salt: Int, keys: Long*): Double = {
+    var h = XXH64.hashInt(salt, XXH64.hashLong(seed, XxSeed))
+    for (k <- keys) h = XXH64.hashLong(k, h)
+    math.floorMod(h, 1000003L) / 1000003.0
+  }
+
+  /** Spark's `xxhash64(s)` of one string. */
+  private[data] def hashString(s: String): Long =
+    XXH64.hashUTF8String(UTF8String.fromString(s), XxSeed)
+
+  /** Standard normal (Box–Muller) clamped to ±3σ so every good location
+    * stays inside its region's land envelope. StrictMath.log and Math.cos
+    * are what Spark's LOG and COS evaluate.
+    */
+  private[data] def normal(seed: Long, salt: Int, id: Long): Double = {
+    val u1 = uniform(seed, salt, id) * 0.999999 + 1e-7
+    val u2 = uniform(seed, salt + 1000, id)
+    math.max(-3.0, math.min(3.0, math.sqrt(-2.0 * StrictMath.log(u1)) * math.cos(2 * math.Pi * u2)))
+  }
+
+  /** Inverse-CDF sampler over (key, value, lo, hi) rows listed in
+    * ascending lo within each key, whose [lo, hi) intervals tile [0, 1)
+    * (each hi is the next row's lo): `draw(key, u)` is the value of the
+    * key's row with lo <= u < hi, found by binary search as the last row
+    * with lo <= u.
+    */
+  private[data] final class Cdf[K, V](rows: Seq[(K, V, Double, Double)]) {
+    private val byKey: Map[K, (IndexedSeq[V], Array[Double])] =
+      rows.map(_._1).distinct.map { k =>
+        val rs = rows.filter(_._1 == k)
+        k -> ((rs.map(_._2).toIndexedSeq, rs.map(_._3).toArray))
+      }.toMap
+
+    def draw(key: K, u: Double): V = {
+      val (values, lo) = byKey(key)
+      var a = 0
+      var b = lo.length - 1
+      while (a < b) {
+        val m = (a + b + 1) >>> 1
+        if (lo(m) <= u) a = m else b = m - 1
+      }
+      values(a)
+    }
+  }
+
   /** Generate the full dataset. See class doc; sf=1 ≈ the paper's volume. */
   def generate(spark: SparkSession, sf: Double = 1.0, seed: Long = 7L): MobyData = {
     import spark.implicits._
     val c = counts(sf)
+    def u(salt: Int, keys: Long*): Double = uniform(seed, salt, keys: _*)
+    def table(rows: Seq[Row], ddl: String): DataFrame =
+      spark.createDataFrame(rows.asJava, StructType.fromDDL(ddl))
 
-    /** Deterministic uniform in [0,1) from (seed, salt, cols). */
-    def u(salt: Int, cols: Column*): Column =
-      pmod(xxhash64((lit(seed) +: lit(salt) +: cols): _*), lit(1000003L)) / 1000003.0
-
-    /** Standard normal (Box–Muller) clamped to ±3σ so every good location
-      * stays inside its region's land envelope.
-      */
-    def z(salt: Int, cols: Column*): Column = {
-      val u1 = u(salt, cols: _*) * 0.999999 + 1e-7
-      val u2 = u(salt + 1000, cols: _*)
-      greatest(lit(-3.0), least(lit(3.0), sqrt(lit(-2.0) * log(u1)) * cos(lit(2 * math.Pi) * u2)))
-    }
-
-    val anchorSeq = anchors(c)
-    val anchorsDf = anchorSeq
-      .map(a => (a.cls, a.idx, a.region, a.block, a.archetype, a.lat, a.lon))
-      .toDF("cls", "anchor_idx", "region", "block", "archetype", "a_lat", "a_lon")
-
+    val anchorSeq = anchors(c).toIndexedSeq
     val nStations = c.goodStations
     val nHot = c.hotspots
+    /** Position of anchor (cls, idx) in anchorSeq: stations, then hotspots. */
+    def anchorAt(cls: String, idx: Long): Int = (if (cls == "station") idx else nStations + idx).toInt
 
     // ---------------- stations ----------------
     val goodStations = anchorSeq.filter(_.cls == "station")
-      .map(a => (a.idx, s"Station ${a.region}-${a.idx}", Option(a.lat), Option(a.lon)))
+      .map(a => Row(a.idx, s"Station ${a.region}-${a.idx}", a.lat, a.lon))
     val badStations = Seq(
-      (nStations, "Station BAD-outside", Option(51.898), Option(-8.471)), // Cork
-      (nStations + 1, "Station BAD-sea", Option(53.320), Option(-6.080)), // Dublin Bay
-      (nStations + 2, "Station BAD-nocoord", Option.empty[Double], Option.empty[Double]),
+      Row(nStations, "Station BAD-outside", 51.898, -8.471), // Cork
+      Row(nStations + 1, "Station BAD-sea", 53.320, -6.080), // Dublin Bay
+      Row(nStations + 2, "Station BAD-nocoord", null, null),
     )
-    val stations = (goodStations ++ badStations)
-      .toDF("station_id", "station_name", "lat", "lon")
+    val stations = table(goodStations ++ badStations,
+      "station_id BIGINT NOT NULL, station_name STRING, lat DOUBLE, lon DOUBLE")
 
     // ---------------- locations ----------------
-    val anchorCdf = anchorCdfRows(c).toDF("cls", "cdf_idx", "a_lo", "a_hi")
-    val locBase = spark.range(c.goodLocations).toDF("location_id")
-      .withColumn("cls", when($"location_id" < c.stationLocations, "station").otherwise("hotspot"))
-      .withColumn("class_local",
-        when($"cls" === "station", $"location_id").otherwise($"location_id" - c.stationLocations))
-      // force coverage: first location of each anchor class maps 1:1 to the
-      // anchor, so every anchor owns >= 1 location; the rest follow the
-      // zipf-with-weak-tail CDF of anchorWeights.
-      .withColumn("n_anchor", when($"cls" === "station", lit(nStations)).otherwise(lit(nHot)))
-      .withColumn("u_anchor", u(11, $"location_id"))
-      .join(anchorCdf, Seq("cls"))
-      .filter($"u_anchor" >= $"a_lo" && $"u_anchor" < $"a_hi")
-      .withColumn("anchor_idx",
-        when($"class_local" < $"n_anchor", $"class_local").otherwise($"cdf_idx"))
-      .drop("cdf_idx", "a_lo", "a_hi")
-
-    val sigma = when(col("cls") === "station", lit(16.0)).otherwise(lit(18.0))
+    // Location ids below c.stationLocations scatter around stations, the
+    // rest around hotspots. The first location of each anchor class maps
+    // 1:1 to the anchor, so every anchor owns >= 1 location; the rest
+    // follow the zipf-with-weak-tail CDF of anchorWeights.
+    val anchorCdf = new Cdf(anchorCdfRows(c))
+    val nLoc = c.goodLocations.toInt
+    val locAnchor = new Array[Int](nLoc) // position in anchorSeq
+    val locArchetype = new Array[String](nLoc)
+    val locHarch = new Array[String](nLoc)
+    // location ids of each anchor in ascending id: a location's index in
+    // its anchor's list is its anchor_local rank
+    val atAnchor = Array.fill(anchorSeq.size)(mutable.ArrayBuffer.empty[Long])
     val mPerLon = Haversine.metresPerDegLon(53.33)
-    val locJoined = locBase.join(anchorsDf, Seq("cls", "anchor_idx"))
-      .withColumn("lat", $"a_lat" + z(21, $"location_id") * sigma / Haversine.MetresPerDegLat)
-      .withColumn("lon", $"a_lon" + z(23, $"location_id") * sigma / mPerLon)
-      .withColumn("archetype",
-        when(u(31, $"location_id") < DominantArchetypeP, $"archetype")
-          .otherwise(element_at(
-            array(Archetype.All.map(lit): _*),
-            (floor(u(33, $"location_id") * 3) + 1).cast(IntegerType))))
-      .withColumn("harch",
-        when($"archetype" === Archetype.Commuter,
-          when(u(35, xxhash64($"cls"), $"anchor_idx") < 0.5, "commuter-am")
-            .otherwise("commuter-pm"))
-          .when($"archetype" === Archetype.Leisure,
-            when(u(37, xxhash64($"cls"), $"anchor_idx") < 0.5, "leisure-mid")
-              .otherwise("leisure-eve"))
-          .otherwise($"archetype"))
-      .withColumn("anchor_local",
-        row_number().over(Window.partitionBy($"cls", $"anchor_idx").orderBy($"location_id")) - 1)
-      .select($"location_id", $"cls", $"anchor_idx", $"region", $"block", $"archetype",
-              $"harch", $"lat", $"lon", $"anchor_local")
-      .cache()
+    val goodLocations = new Array[Row](nLoc)
+    val meta = new Array[Row](nLoc)
+    for (i <- 0 until nLoc) {
+      val id = i.toLong
+      val isStation = id < c.stationLocations
+      val cls = if (isStation) "station" else "hotspot"
+      val classLocal = if (isStation) id else id - c.stationLocations
+      val idx =
+        if (classLocal < (if (isStation) nStations else nHot)) classLocal
+        else anchorCdf.draw(cls, u(11, id))
+      val g = anchorAt(cls, idx)
+      val a = anchorSeq(g)
+      val sigma = if (isStation) 16.0 else 18.0
+      val lat = a.lat + normal(seed, 21, id) * sigma / Haversine.MetresPerDegLat
+      val lon = a.lon + normal(seed, 23, id) * sigma / mPerLon
+      val archetype =
+        if (u(31, id) < DominantArchetypeP) a.archetype
+        else Archetype.All(math.floor(u(33, id) * 3).toInt)
+      locHarch(i) = archetype match {
+        case Archetype.Commuter =>
+          if (u(35, hashString(cls), idx) < 0.5) "commuter-am" else "commuter-pm"
+        case Archetype.Leisure =>
+          if (u(37, hashString(cls), idx) < 0.5) "leisure-mid" else "leisure-eve"
+        case other => other
+      }
+      locAnchor(i) = g
+      locArchetype(i) = archetype
+      atAnchor(g) += id
+      goodLocations(i) = Row(id, lat, lon)
+      meta(i) = Row(id, cls, idx, a.region, a.block, archetype)
+    }
 
     val regionCounts: Map[String, Long] =
-      locJoined.groupBy($"region").count().collect().map(r => r.getString(0) -> r.getLong(1)).toMap
+      locAnchor.toSeq.groupMapReduce(anchorSeq(_).region)(_ => 1L)(_ + _)
 
     val badLocations = {
       def jit(k: Long, s: Int): Double = (((k * 2654435761L + s * 40503L + seed) % 1000) - 500) / 1e6
       val orphan = (0L until c.orphanLocations).map { k =>
-        (c.orphanLocBase + k, Option(53.3475 + jit(k, 1) * 4), Option(-6.2610 + jit(k, 2) * 4))
+        Row(c.orphanLocBase + k, 53.3475 + jit(k, 1) * 4, -6.2610 + jit(k, 2) * 4)
       }
       val outside = (0L until c.outsideLocations).map { k =>
-        (c.outsideLocBase + k, Option(52.661 + jit(k, 3)), Option(-8.630 + jit(k, 4)))
+        Row(c.outsideLocBase + k, 52.661 + jit(k, 3), -8.630 + jit(k, 4))
       }
       val sea = (0L until c.seaLocations).map { k =>
-        (c.seaLocBase + k, Option(53.315 + jit(k, 5) * 20), Option(-6.082 + jit(k, 6) * 10))
+        Row(c.seaLocBase + k, 53.315 + jit(k, 5) * 20, -6.082 + jit(k, 6) * 10)
       }
       val noCoord = (0L until c.noCoordLocations).map { k =>
-        if (k % 2 == 0) (c.noCoordLocBase + k, Option.empty[Double], Option(-6.26 + jit(k, 7)))
-        else (c.noCoordLocBase + k, Option(53.34 + jit(k, 8)), Option.empty[Double])
+        if (k % 2 == 0) Row(c.noCoordLocBase + k, null, -6.26 + jit(k, 7))
+        else Row(c.noCoordLocBase + k, 53.34 + jit(k, 8), null)
       }
-      (orphan ++ outside ++ sea ++ noCoord).toDF("location_id", "lat", "lon")
+      orphan ++ outside ++ sea ++ noCoord
     }
 
-    val locations = locJoined
-      .select($"location_id", $"lat".cast(DoubleType) as "lat", $"lon".cast(DoubleType) as "lon")
-      .unionByName(badLocations)
+    val locations = table(goodLocations.toSeq ++ badLocations,
+      "location_id BIGINT NOT NULL, lat DOUBLE, lon DOUBLE")
 
     // ---------------- rentals ----------------
-    val rBase = spark.range(c.goodRentals).toDF("rental_id")
-      // coverage: rental i < nGoodLocations starts at location i, so rule 6
-      // (unreferenced locations) removes exactly the injected orphans.
-      .withColumn("o_loc",
-        when($"rental_id" < c.goodLocations, $"rental_id")
-          .otherwise(floor(u(41, $"rental_id") * c.goodLocations)))
-
-    val oMeta = locJoined.select(
-      $"location_id" as "o_loc", $"region" as "o_region", $"block" as "o_block",
-      $"archetype" as "o_archetype", $"harch" as "o_harch")
-
-    def blockW(origin: String, dest: String): Double = CrossBlock((origin, dest))
-    val withDest = rBase.join(oMeta, "o_loc")
-      .withColumn("u_block", u(43, $"rental_id"))
-      .withColumn("dest_block",
-        when(u(45, $"rental_id") < SameBlockP, $"o_block").otherwise(
-          Blocks.foldLeft(lit(null).cast(StringType)) { (acc, ob) =>
-            val others = Blocks.filterNot(_ == ob)
-            when(col("o_block") === ob,
-              when($"u_block" < blockW(ob, others.head), lit(others.head)).otherwise(lit(others(1)))
-            ).otherwise(acc)
-          }))
-      .withColumn("dest_region", {
-        // same-block trips stay in the origin's region with SameRegionP;
-        // otherwise choose a region inside the destination block by
-        // location share
-        val byShare = Blocks.foldLeft(lit(null).cast(StringType)) { (acc, b) =>
-          val rs = Regions.filter(_.block == b).map(_.code)
-          val cA = regionCounts.getOrElse(rs.head, 0L).toDouble
-          val cB = regionCounts.getOrElse(rs(1), 0L).toDouble
-          when(col("dest_block") === b,
-            when(u(47, $"rental_id") < cA / math.max(1.0, cA + cB), lit(rs.head))
-              .otherwise(lit(rs(1)))
-          ).otherwise(acc)
-        }
-        when($"dest_block" === $"o_block" && u(46, $"rental_id") < SameRegionP, $"o_region")
-          .otherwise(byShare)
-      })
-      .withColumn("u_danchor", u(48, $"rental_id"))
-
-    val destCdf = destAnchorCdfRows(c, anchorSeq)
-      .toDF("dest_region", "d_cls", "d_anchor", "da_lo", "da_hi")
-    val anchorCounts = locJoined.groupBy($"cls", $"anchor_idx")
-      .agg(count(lit(1)) as "n_at_anchor")
-      .select($"cls" as "d_cls", $"anchor_idx" as "d_anchor", $"n_at_anchor")
-
-    val withDestLoc = withDest
-      .join(destCdf, Seq("dest_region"))
-      .filter($"u_danchor" >= $"da_lo" && $"u_danchor" < $"da_hi")
-      .join(anchorCounts, Seq("d_cls", "d_anchor"))
-      .withColumn("d_local", floor(u(49, $"rental_id") * $"n_at_anchor"))
-
-    val dKey = locJoined.select($"cls" as "d_cls", $"anchor_idx" as "d_anchor",
-                                $"anchor_local" as "d_local", $"location_id" as "d_loc")
-    val dayCdf = cdfRows(DayWeights).toDF("d_arch", "dow", "d_lo", "d_hi")
-    val hourCdf = cdfRows(HourWeights).toDF("h_arch", "hour", "h_lo", "h_hi")
+    val destCdf = new Cdf(destAnchorCdfRows(c, anchorSeq).map { case (region, cls, idx, lo, hi) =>
+      (region, anchorAt(cls, idx), lo, hi)
+    })
+    val dayCdf = new Cdf(cdfRows(DayWeights))
+    val hourCdf = new Cdf(cdfRows(HourWeights))
 
     // endpoint plan before temporal sampling, so the mirror pass below can
     // swap endpoints and the trip's clock still follows its actual origin
-    val planned = withDestLoc.join(dKey, Seq("d_cls", "d_anchor", "d_local"))
-      .withColumn("ret_loc", when(u(51, $"rental_id") < RoundTripP, $"o_loc").otherwise($"d_loc"))
-      .select($"rental_id", $"o_loc", $"ret_loc")
+    val nRentals = c.goodRentals.toInt
+    val planO = new Array[Long](nRentals)
+    val planRet = new Array[Long](nRentals)
+    for (i <- 0 until nRentals) {
+      val rid = i.toLong
+      // coverage: rental i < nGoodLocations starts at location i, so rule 6
+      // (unreferenced locations) removes exactly the injected orphans.
+      val o = if (rid < c.goodLocations) rid else math.floor(u(41, rid) * c.goodLocations).toLong
+      val oa = anchorSeq(locAnchor(o.toInt))
+      val destBlock =
+        if (u(45, rid) < SameBlockP) oa.block
+        else {
+          val others = Blocks.filterNot(_ == oa.block)
+          if (u(43, rid) < CrossBlock((oa.block, others.head))) others.head else others(1)
+        }
+      // same-block trips stay in the origin's region with SameRegionP;
+      // otherwise choose a region inside the destination block by
+      // location share
+      val destRegion =
+        if (destBlock == oa.block && u(46, rid) < SameRegionP) oa.region
+        else {
+          val rs = Regions.filter(_.block == destBlock).map(_.code)
+          val cA = regionCounts.getOrElse(rs.head, 0L).toDouble
+          val cB = regionCounts.getOrElse(rs(1), 0L).toDouble
+          if (u(47, rid) < cA / math.max(1.0, cA + cB)) rs.head else rs(1)
+        }
+      val dest = atAnchor(destCdf.draw(destRegion, u(48, rid)))
+      val dLoc = dest(math.floor(u(49, rid) * dest.size).toInt)
+      planO(i) = o
+      planRet(i) = if (u(51, rid) < RoundTripP) o else dLoc
+    }
 
-    // reciprocity: half the free rentals replay the previous rental's trip
-    // in reverse (commute out in the morning, back in the evening). The
-    // paper's graph has directed ≈ 2 x undirected edges — most pairs are
-    // travelled both ways — which independent draws cannot produce.
-    // Coverage rentals (id < #locations) are exempt to keep rule 6 exact.
-    val prev = planned.select(($"rental_id" + 1) as "rental_id",
-                              $"o_loc" as "prev_o", $"ret_loc" as "prev_ret")
-    val mirrored = planned.join(prev, Seq("rental_id"), "left")
-      .withColumn("mirror",
-        $"rental_id" >= c.goodLocations && $"prev_o".isNotNull && u(65, $"rental_id") < 0.5)
-      .select($"rental_id",
-              when($"mirror", $"prev_ret").otherwise($"o_loc") as "o_loc",
-              when($"mirror", $"prev_o").otherwise($"ret_loc") as "ret_loc")
-
-    val tMeta = locJoined.select($"location_id" as "o_loc",
-                                 $"archetype" as "t_archetype", $"harch" as "t_harch")
-    val withTime = mirrored.join(tMeta, "o_loc")
-      .withColumn("u_day", u(53, $"rental_id"))
-      .withColumn("u_hour", u(55, $"rental_id"))
-      .join(dayCdf, $"t_archetype" === $"d_arch" && $"u_day" >= $"d_lo" && $"u_day" < $"d_hi")
-      .join(hourCdf, $"t_harch" === $"h_arch" && $"u_hour" >= $"h_lo" && $"u_hour" < $"h_hi")
-
-    val goodRentals = withTime
-      .withColumn("week", floor(u(57, $"rental_id") * NWeeks))
-      .withColumn("trip_date",
-        date_add(lit("2020-01-06").cast(DateType), ($"week" * 7 + $"dow").cast(IntegerType)))
-      .withColumn("start_ts",
-        timestamp_seconds(unix_timestamp($"trip_date".cast(TimestampType))
-          + $"hour" * 3600L + floor(u(59, $"rental_id") * 60) * 60L))
-      .withColumn("end_ts",
-        timestamp_seconds(unix_timestamp($"start_ts")
-          + lit(300L) + floor(u(61, $"rental_id") * 35) * 60L))
-      .select(
-        $"rental_id",
-        (floor(u(63, $"rental_id") * 95) + 1).cast(IntegerType) as "bike_id",
-        $"start_ts", $"end_ts",
-        $"o_loc".cast(LongType) as "rental_location_id",
-        $"ret_loc".cast(LongType) as "return_location_id")
+    // reciprocity: half the free rentals replay the previous rental's
+    // planned trip in reverse (commute out in the morning, back in the
+    // evening). The paper's graph has directed ≈ 2 x undirected edges —
+    // most pairs are travelled both ways — which independent draws cannot
+    // produce. Coverage rentals (id < #locations) are exempt to keep rule
+    // 6 exact. The clock follows the rental's actual origin.
+    val goodRentalRows = (0 until nRentals).map { i =>
+      val rid = i.toLong
+      val mirror = rid >= c.goodLocations && u(65, rid) < 0.5
+      val o = if (mirror) planRet(i - 1) else planO(i)
+      val ret = if (mirror) planO(i - 1) else planRet(i)
+      val dow = dayCdf.draw(locArchetype(o.toInt), u(53, rid))
+      val hour = hourCdf.draw(locHarch(o.toInt), u(55, rid))
+      val week = math.floor(u(57, rid) * NWeeks).toLong
+      Row(rid, (math.floor(u(63, rid) * 95).toLong + 1).toInt, (week * 7 + dow).toInt,
+          hour * 3600L + math.floor(u(59, rid) * 60).toLong * 60L,
+          300L + math.floor(u(61, rid) * 35).toLong * 60L, o, ret)
+    }
+    // a trip starts `secs` after midnight, in the session time zone, of
+    // the day `day` days after 2020-01-06, and lasts `dur` seconds
+    val midnight = unix_timestamp(
+      date_add(lit("2020-01-06").cast(DateType), $"day").cast(TimestampType))
+    val goodRentals = table(goodRentalRows, "rental_id BIGINT NOT NULL, bike_id INT, day INT, " +
+        "secs BIGINT, dur BIGINT, rental_location_id BIGINT, return_location_id BIGINT")
+      .select($"rental_id", $"bike_id",
+              timestamp_seconds(midnight + $"secs") as "start_ts",
+              timestamp_seconds(midnight + $"secs" + $"dur") as "end_ts",
+              $"rental_location_id", $"return_location_id")
 
     val badRentals = {
       val t0 = Timestamp.valueOf("2020-06-01 10:00:00")
@@ -428,42 +446,37 @@ object MobySynth {
         (0L until n).map { k =>
           val rid = nextId(); val bad = badBase + (k % nBad)
           if (badOnRentalSide(k))
-            (rid, (k % 95 + 1).toInt, ts(rid), ts2(rid), Option(bad), Option(goodLoc(rid, 1)))
+            Row(rid, (k % 95 + 1).toInt, ts(rid), ts2(rid), bad, goodLoc(rid, 1))
           else
-            (rid, (k % 95 + 1).toInt, ts(rid), ts2(rid), Option(goodLoc(rid, 2)), Option(bad))
+            Row(rid, (k % 95 + 1).toInt, ts(rid), ts2(rid), goodLoc(rid, 2), bad)
         }
       val outside = mk(c.outsideRentals, c.outsideLocBase, c.outsideLocations, _ % 2 == 0)
       val sea = mk(c.seaRentals, c.seaLocBase, c.seaLocations, _ % 2 == 1)
       val noCoord = mk(c.noCoordRentals, c.noCoordLocBase, c.noCoordLocations, _ % 2 == 0)
       val missing = (0L until c.missingIdRentals).map { k =>
         val rid = nextId()
-        if (k % 2 == 0)
-          (rid, (k % 95 + 1).toInt, ts(rid), ts2(rid), Option.empty[Long], Option(goodLoc(rid, 3)))
-        else
-          (rid, (k % 95 + 1).toInt, ts(rid), ts2(rid), Option(goodLoc(rid, 4)), Option.empty[Long])
+        if (k % 2 == 0) Row(rid, (k % 95 + 1).toInt, ts(rid), ts2(rid), null, goodLoc(rid, 3))
+        else Row(rid, (k % 95 + 1).toInt, ts(rid), ts2(rid), goodLoc(rid, 4), null)
       }
       val dangling = (0L until c.danglingRentals).map { k =>
         val rid = nextId()
         val ghost = c.noCoordLocBase + c.noCoordLocations + 10000000L + k
-        if (k % 2 == 0)
-          (rid, (k % 95 + 1).toInt, ts(rid), ts2(rid), Option(ghost), Option(goodLoc(rid, 5)))
-        else
-          (rid, (k % 95 + 1).toInt, ts(rid), ts2(rid), Option(goodLoc(rid, 6)), Option(ghost))
+        if (k % 2 == 0) Row(rid, (k % 95 + 1).toInt, ts(rid), ts2(rid), ghost, goodLoc(rid, 5))
+        else Row(rid, (k % 95 + 1).toInt, ts(rid), ts2(rid), goodLoc(rid, 6), ghost)
       }
-      (outside ++ sea ++ noCoord ++ missing ++ dangling)
-        .toDF("rental_id", "bike_id", "start_ts", "end_ts",
-              "rental_location_id", "return_location_id")
+      table(outside ++ sea ++ noCoord ++ missing ++ dangling, "rental_id BIGINT NOT NULL, " +
+        "bike_id INT, start_ts TIMESTAMP, end_ts TIMESTAMP, rental_location_id BIGINT, return_location_id BIGINT")
     }
 
-    // Row counts are tiny (≤ ~76k at sf=1) but the lineage is join-heavy,
-    // and everything downstream (cleaning → HAC → selection → Louvain)
-    // builds on top of it. Eager localCheckpoint truncates the logical
-    // plan here — without it Catalyst re-analyzes a multi-megabyte tree on
-    // every downstream action and the driver drowns in plan analysis.
-    val rentals = goodRentals.unionByName(badRentals).localCheckpoint(true)
+    val locationMeta = table(meta.toSeq, "location_id BIGINT NOT NULL, cls STRING NOT NULL, " +
+      "anchor_idx BIGINT NOT NULL, region STRING, block STRING, archetype STRING")
 
-    val meta = locJoined.select($"location_id", $"cls", $"anchor_idx", $"region",
-                                $"block", $"archetype").localCheckpoint(true)
-    MobyData(stations.localCheckpoint(true), locations.localCheckpoint(true), rentals, meta)
+    // Eager localCheckpoint evaluates each table once, here: the rentals'
+    // timestamps take this call's session time zone, and downstream plans
+    // start from the checkpointed partitions instead of re-shipping the
+    // driver's rows with every job.
+    MobyData(stations.localCheckpoint(true), locations.localCheckpoint(true),
+             goodRentals.unionByName(badRentals).localCheckpoint(true),
+             locationMeta.localCheckpoint(true))
   }
 }

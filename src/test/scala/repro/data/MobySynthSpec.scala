@@ -1,6 +1,10 @@
 package repro.data
 
+import java.nio.charset.StandardCharsets.UTF_8
+import java.security.MessageDigest
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.TimestampType
 import repro.{Oracle, SparkSpec}
 import repro.data.MobySchema._
 import repro.geo.Haversine
@@ -14,6 +18,102 @@ class MobySynthSpec extends SparkSpec {
   private val sf = repro.TestFixtures.sf
   private lazy val data = repro.TestFixtures.data
   private lazy val c = repro.TestFixtures.counts
+
+  /** SHA-256 over the sorted rows of `df`: fields joined by '|', doubles
+    * written by Double.toString, timestamps as epoch microseconds. The
+    * schema (names, types, nullability) is hashed first.
+    */
+  private def digest(df: DataFrame): String = {
+    val cols = df.schema.fields.map { f =>
+      if (f.dataType == TimestampType) unix_micros(col(f.name)) as f.name else col(f.name)
+    }
+    val lines = df.select(cols.toIndexedSeq: _*).collect()
+      .map(_.toSeq.map(v => String.valueOf(v)).mkString("|")).sorted
+    val md = MessageDigest.getInstance("SHA-256")
+    (df.schema.toDDL +: lines).foreach(l => md.update((l + "\n").getBytes(UTF_8)))
+    md.digest().map("%02x".format(_)).mkString
+  }
+
+  test("generated tables are row-identical to the pinned digests") {
+    val zoneKey = "spark.sql.session.timeZone"
+    val zone = spark.conf.get(zoneKey)
+    def digests(seed: Long, tz: String): Seq[String] = {
+      spark.conf.set(zoneKey, tz)
+      val d = MobySynth.generate(spark, sf, seed)
+      Seq(d.stations, d.locations, d.rentals, d.locationMeta).map(digest)
+    }
+    // stations, locations, rentals, locationMeta at sf=0.05; stations do
+    // not depend on the seed. The dirty rentals' fixed timestamps are
+    // java.sql.Timestamp literals, read in the JVM's default zone (UTC
+    // when these were pinned).
+    val stations = "9c81978479ae7a878cf0c7f8814677ff7b5c003e37522dae276e07483f0d07f0"
+    try {
+      assert(digests(7L, "UTC") === Seq(stations,
+        "b527fc276045d0fc62062ef0b19331140606b954fbfdeecfb709c67f6686b798",
+        "75506a2fbec7f53c7c23d35cd494323b52d15288bb37fd304f8e33f606a217d5",
+        "e1362d34a7f4a1a652f74b5f2a52e1eee14a5c74df419747f528098cb6068c6b"))
+      assert(digests(8L, "UTC") === Seq(stations,
+        "29a26511e7d9a51c81dc931cc2c384d9d82d4ba7586d986dbbc6cd151dba83d7",
+        "d2d5df206291850813f9cbc86583db5a7c5895d966ae453990cc7bfa9a03c23c",
+        "f922fd3789a86c486d6b9dab6fb47bfe2b1d97ba76eac84fc0d28a984f7ff1f1"))
+      // the observation window has DST days in Europe/Dublin
+      assert(digests(7L, "Europe/Dublin") === Seq(stations,
+        "b527fc276045d0fc62062ef0b19331140606b954fbfdeecfb709c67f6686b798",
+        "e9e1479c7e969cf08eb0581e0ded40a07ea64b8b1dd945782fa99abcb1b3e00d",
+        "e1362d34a7f4a1a652f74b5f2a52e1eee14a5c74df419747f528098cb6068c6b"))
+    } finally spark.conf.set(zoneKey, zone)
+  }
+
+  test("driver uniforms equal the Spark xxhash64 expression") {
+    import spark.implicits._
+    val rnd = new scala.util.Random(5)
+    val rows = (0 until 1000).map { k =>
+      (rnd.nextLong(), rnd.nextInt(1 << 30), if (k % 2 == 0) rnd.nextLong() else rnd.nextInt(100000).toLong,
+       if (k % 2 == 0) "station" else "hotspot")
+    }
+    // checkpointed so the expressions run in generated code over a scan,
+    // as they did over spark.range
+    val df = rows.toDF("seed", "salt", "id", "cls").localCheckpoint()
+    def u(salt: Column, keys: Column*): Column =
+      pmod(xxhash64(($"seed" +: salt +: keys): _*), lit(1000003L)) / 1000003.0
+    val z = greatest(lit(-3.0), least(lit(3.0),
+      sqrt(lit(-2.0) * log(u($"salt", $"id") * 0.999999 + 1e-7)) *
+        cos(lit(2 * math.Pi) * u($"salt" + 1000, $"id"))))
+    val got = df.select($"seed", $"salt", $"id", $"cls",
+      u($"salt", $"id"), u($"salt", xxhash64($"cls"), $"id"), z).collect()
+    assert(got.length === 1000)
+    got.foreach { r =>
+      val (seed, salt, id, cls) = (r.getLong(0), r.getInt(1), r.getLong(2), r.getString(3))
+      val at = s"seed=$seed salt=$salt id=$id cls=$cls"
+      assert(MobySynth.uniform(seed, salt, id) === r.getDouble(4), at)
+      assert(MobySynth.uniform(seed, salt, MobySynth.hashString(cls), id) === r.getDouble(5), at)
+      assert(MobySynth.normal(seed, salt, id) === r.getDouble(6), at)
+    }
+  }
+
+  test("CDF binary search returns the row of the linear lo <= u < hi filter") {
+    val rnd = new scala.util.Random(3)
+    def check[K, V](name: String, rows: Seq[(K, V, Double, Double)]): Unit = {
+      val cdf = new MobySynth.Cdf(rows)
+      for (key <- rows.map(_._1).distinct) {
+        val rs = rows.filter(_._1 == key)
+        val us = 0.0 +: (rs.flatMap(r => Seq(r._3, math.nextDown(r._4))) ++ Seq.fill(100)(rnd.nextDouble()))
+        us.foreach { x =>
+          val linear = rs.filter(r => r._3 <= x && x < r._4)
+          assert(linear.size === 1, s"$name $key u=$x")
+          assert(cdf.draw(key, x) === linear.head._2, s"$name $key u=$x")
+        }
+      }
+    }
+    for (sf <- Seq(0.05, 1.0)) {
+      val cnt = MobySynth.counts(sf)
+      check(s"anchor sf=$sf", MobySynth.anchorCdfRows(cnt))
+      check(s"destination sf=$sf", MobySynth.destAnchorCdfRows(cnt, MobySynth.anchors(cnt))
+        .map { case (region, cls, idx, lo, hi) => (region, (cls, idx), lo, hi) })
+    }
+    check("day", MobySynth.cdfRows(MobySynth.DayWeights))
+    check("hour", MobySynth.cdfRows(MobySynth.HourWeights))
+  }
 
   test("apportion distributes exactly and proportionally") {
     val got = MobySynth.apportion(92, Seq(30, 14, 18, 6, 10, 14))
