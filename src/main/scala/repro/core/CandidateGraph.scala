@@ -26,28 +26,39 @@ object CandidateGraph {
                          undirectedEdges: Long, undirectedEdgesNoLoops: Long,
                          directedEdges: Long, directedEdgesNoLoops: Long, nTrips: Long)
 
+  /** A row of the node table. */
+  final case class Node(id: Long, lat: Double, lon: Double, isStation: Boolean)
+
   /** @param nodes      node_id, lat, lon, is_station
     * @param assignment location_id, node_id, dist_to_station_m
     * @param trips      rental_id, src_node, dst_node, start_ts
     */
   final case class Result(nodes: DataFrame, assignment: DataFrame, trips: DataFrame) {
-    /** Table II from one collected (src_node, dst_node) → trips aggregate
-      * and the is_station flags, counted in plain Scala (~1 k nodes).
+
+    /** (src_node, dst_node) → trips, collected once: Table II, the degrees
+      * of Algorithm 1 and the selected graph read it in plain Scala.
       */
+    lazy val edgeTrips: Map[(Long, Long), Long] =
+      trips.groupBy(col("src_node"), col("dst_node")).count().collect()
+        .map(r => (r.getLong(0), r.getLong(1)) -> r.getLong(2)).toMap
+
+    /** The node table, collected once (~1 k nodes at sf=1). */
+    lazy val nodeTable: Seq[Node] =
+      nodes.select(col("node_id"), col("lat"), col("lon"), col("is_station")).collect()
+        .map(r => Node(r.getLong(0), r.getDouble(1), r.getDouble(2), r.getBoolean(3))).toSeq
+
+    /** Table II, counted in plain Scala. */
     def stats: Stats = {
-      val directed = trips.groupBy(col("src_node"), col("dst_node")).count().collect()
-        .map(r => (r.getLong(0), r.getLong(1), r.getLong(2)))
-      val undirected = directed.map { case (s, d, _) => (math.min(s, d), math.max(s, d)) }.distinct
-      val isStation = nodes.select(col("is_station")).collect().map(_.getBoolean(0))
-      val nStation = isStation.count(identity).toLong
+      val undirected = edgeTrips.keys.map { case (s, d) => (math.min(s, d), math.max(s, d)) }.toSet
+      val nStation = nodeTable.count(_.isStation).toLong
       Stats(
-        nNodes = isStation.length.toLong, nStationNodes = nStation,
-        nCandidateNodes = isStation.length - nStation,
-        undirectedEdges = undirected.length.toLong,
+        nNodes = nodeTable.size.toLong, nStationNodes = nStation,
+        nCandidateNodes = nodeTable.size - nStation,
+        undirectedEdges = undirected.size.toLong,
         undirectedEdgesNoLoops = undirected.count { case (a, b) => a != b }.toLong,
-        directedEdges = directed.length.toLong,
-        directedEdgesNoLoops = directed.count { case (s, d, _) => s != d }.toLong,
-        nTrips = directed.map(_._3).sum)
+        directedEdges = edgeTrips.size.toLong,
+        directedEdgesNoLoops = edgeTrips.keys.count { case (s, d) => s != d }.toLong,
+        nTrips = edgeTrips.values.sum)
     }
   }
 
@@ -93,8 +104,8 @@ object CandidateGraph {
               $"station_dist_m")
 
     // eager localCheckpoint (not cache): the assignment is evaluated once,
-    // and the trip mapping, Table II and selection plan from its partitions
-    // instead of re-running the nearest-station cross join and window
+    // and the trip mapping plans from its partitions instead of re-running
+    // the nearest-station cross join and window
     val assignment = preAssigned.unionByName(clustered).localCheckpoint(true)
 
     val stationNodes = data.stations.select(

@@ -38,12 +38,13 @@ object Pipeline {
 
   /** Exact sequential Louvain + community summary on the selected graph
     * at a granularity (Tables IV–VI). The selected graph has ~230 nodes,
-    * so its edges are collected and clustered on the driver; Q is
+    * so its edges are weighted from its one collected aggregate and clustered
+    * on the driver, without a Spark job; Q is
     * [[repro.community.Modularity.local]] of the final assignment.
     */
   def communities(spark: SparkSession, selected: SelectedGraph.Result,
                   g: TemporalGraphs.Granularity): CommunityResult = {
-    val louvain = Louvain.run(TemporalGraphs.weights(selected.trips, g))
+    val louvain = Louvain.run(TemporalGraphs.weights(selected.counts, g))
     // stations without edges become singleton communities
     val full = selected.isNew.keys.map(n => n -> louvain.community.getOrElse(n, n)).toMap
     CommunityResult(g, CommunityAnalysis.summarize(spark, selected, full, louvain.modularity))

@@ -22,12 +22,15 @@ object SelectedGraph {
     */
   final case class Result(nodes: DataFrame, trips: DataFrame) {
 
-    /** (src_node, dst_node) → trips, collected once: the selected graph has
-      * a few hundred nodes, so every post-selection table is plain Scala.
+    /** (src_node, dst_node, day, hour) → trips, collected once: the selected
+      * graph has a few hundred nodes, so every post-selection table and all
+      * three temporal graphs are plain Scala projections of it.
       */
+    lazy val counts: Map[(Long, Long, Int, Int), Long] = TemporalGraphs.counts(trips)
+
+    /** (src_node, dst_node) → trips. */
     lazy val edgeTrips: Map[(Long, Long), Long] =
-      trips.groupBy(col("src_node"), col("dst_node")).count().collect()
-        .map(r => (r.getLong(0), r.getLong(1)) -> r.getLong(2)).toMap
+      counts.toSeq.groupMapReduce { case ((s, d, _, _), _) => (s, d) }(_._2)(_ + _)
 
     /** node_id → is_new (selected by Algorithm 1 rather than pre-existing). */
     lazy val isNew: Map[Long, Boolean] =
@@ -53,21 +56,16 @@ object SelectedGraph {
     import spark.implicits._
 
     val selectedIds = selection.selected.map(_.nodeId).toSet
-    val finalNodes = candidate.nodes
-      .filter($"is_station" || $"node_id".isin(selectedIds.toSeq: _*))
-      .withColumn("is_new", !$"is_station")
-      .localCheckpoint(true)
+    val finals = candidate.nodeTable.filter(n => n.isStation || selectedIds(n.id))
+    val finalNodes = finals.map(n => (n.id, n.lat, n.lon, n.isStation, !n.isStation))
+      .toDF("node_id", "lat", "lon", "is_station", "is_new")
 
     // nearest final station for every rejected candidate node (driver-side:
     // ~1k rejected × ~240 stations)
-    val finals = finalNodes.select($"node_id", $"lat", $"lon")
-      .as[(Long, Double, Double)].collect()
     val rejected = selection.candidates.filterNot(_.selected)
     val remap: Map[Long, Long] = rejected.map { r =>
-      val nearest = finals.minBy { case (id, la, lo) =>
-        (Haversine.metres(r.lat, r.lon, la, lo), id)
-      }
-      r.nodeId -> nearest._1
+      val nearest = finals.minBy(n => (Haversine.metres(r.lat, r.lon, n.lat, n.lon), n.id))
+      r.nodeId -> nearest.id
     }.toMap
 
     val remapDf = remap.toSeq.toDF("old_node", "new_node")

@@ -1,7 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.SparkSession
 import repro.geo.Haversine
 
 /** The paper's Algorithm 1 — station ranking and selection.
@@ -13,12 +12,12 @@ import repro.geo.Haversine
   *     below the minimum fixed-station degree;
   *   - Rule 4 (secondary distance): a candidate scores 0 if its centroid
   *     is within `minDistM` (250 m) of a fixed station;
-  *   - pairwise pruning: while any two surviving candidates are within
+  *   - pairwise pruning: of any two surviving candidates within
   *     `minDistM` of each other, the lower-degree one is zeroed;
   *   - survivors, ranked by score descending, become new stations.
   *
-  * Degrees are computed in Spark; the rule loop runs on the driver over
-  * the collected candidate summaries (≈1k rows at sf=1).
+  * Everything runs on the driver over the candidate graph's collected
+  * edge counts and node table (≈1k nodes at sf=1); no Spark job starts.
   */
 object StationSelection {
 
@@ -29,66 +28,49 @@ object StationSelection {
     def selected: Seq[Candidate] = candidates.filter(_.selected)
   }
 
-  /** Per-node degree: trips from + trips to. Columns: node_id, degree. */
-  def degrees(trips: DataFrame): DataFrame = {
-    trips.select(col("src_node") as "node_id")
-      .unionAll(trips.select(col("dst_node") as "node_id"))
-      .groupBy(col("node_id")).agg(count(lit(1)) as "degree")
-  }
+  /** Per-node degree: trips from + trips to. Nodes without trips are absent. */
+  def degrees(edgeTrips: Map[(Long, Long), Long]): Map[Long, Long] =
+    edgeTrips.toSeq
+      .flatMap { case ((s, d), n) => Seq(s -> n, d -> n) }
+      .groupMapReduce(_._1)(_._2)(_ + _)
 
   def select(spark: SparkSession, candidate: CandidateGraph.Result,
              minDistM: Double = 250.0): Result = {
-    import spark.implicits._
-    val deg = degrees(candidate.trips)
-    val nodeDeg = candidate.nodes.join(deg, Seq("node_id"), "left")
-      .select($"node_id", $"lat", $"lon", $"is_station",
-              coalesce($"degree", lit(0L)) as "degree")
-      .as[(Long, Double, Double, Boolean, Long)]
-      .collect()
-
-    val stations = nodeDeg.filter(_._4)
+    val deg = degrees(candidate.edgeTrips).withDefaultValue(0L)
+    val stations = candidate.nodeTable.filter(_.isStation)
     require(stations.nonEmpty, "no fixed stations")
-    val threshold = stations.map(_._5).min
+    val threshold = stations.map(s => deg(s.id)).min
 
     final case class C(id: Long, lat: Double, lon: Double, deg: Long, var score: Long)
-    val cands = nodeDeg.filterNot(_._4).sortBy(_._1)
-      .map(t => C(t._1, t._2, t._3, t._5, t._5))
+    val cands = candidate.nodeTable.filterNot(_.isStation).sortBy(_.id)
+      .map(n => C(n.id, n.lat, n.lon, deg(n.id), deg(n.id)))
 
     // Rules 3 and 4
     for (c <- cands) {
       if (c.deg < threshold) c.score = 0
       else {
         val dMin = stations.iterator
-          .map(s => Haversine.metres(c.lat, c.lon, s._2, s._3)).min
+          .map(s => Haversine.metres(c.lat, c.lon, s.lat, s.lon)).min
         if (dMin <= minDistM) c.score = 0
       }
     }
 
-    // pairwise pruning until no two positive-score candidates are close
-    var changed = true
-    while (changed) {
-      changed = false
-      val alive = cands.filter(_.score > 0)
-      var i = 0
-      while (i < alive.length) {
-        var j = i + 1
-        while (j < alive.length) {
-          val a = alive(i); val b = alive(j)
-          if (a.score > 0 && b.score > 0 &&
-              Haversine.metres(a.lat, a.lon, b.lat, b.lon) < minDistM) {
-            // zero the lower-degree station; break id ties deterministically
-            val loser = if (a.deg < b.deg || (a.deg == b.deg && a.id > b.id)) a else b
-            loser.score = 0
-            changed = true
-          }
-          j += 1
-        }
-        i += 1
+    // pairwise pruning in one id-ordered pass: scores only fall to 0, so
+    // once a pair is checked one of the two is zero or they are far apart,
+    // and a second pass would change nothing
+    val alive = cands.filter(_.score > 0)
+    for (i <- alive.indices; j <- i + 1 until alive.length) {
+      val a = alive(i); val b = alive(j)
+      if (a.score > 0 && b.score > 0 &&
+          Haversine.metres(a.lat, a.lon, b.lat, b.lon) < minDistM) {
+        // zero the lower-degree station; break id ties deterministically
+        val loser = if (a.deg < b.deg || (a.deg == b.deg && a.id > b.id)) a else b
+        loser.score = 0
       }
     }
 
     val out = cands.sortBy(c => (-c.score, c.id))
       .map(c => Candidate(c.id, c.lat, c.lon, c.deg, c.score, c.score > 0))
-    Result(out.toSeq, threshold)
+    Result(out, threshold)
   }
 }

@@ -44,16 +44,23 @@ object TemporalGraphs {
     case THour => hour(startTs)
   }
 
-  /** Trips per unordered node pair and slice: (src <= dst, slice) → n.
-    * The one Spark aggregate behind the edge weights; slices are computed
-    * in Spark, under the session time zone.
+  /** Trips per directed node pair, day and hour: (src, dst, day, hour) → n.
+    * The one Spark aggregate behind a graph's edge weights; day and hour
+    * are [[sliceCol]]s, computed in Spark under the session time zone.
     */
-  def sliceCounts(trips: DataFrame, g: Granularity): Map[(Long, Long, Int), Long] =
-    trips.select(least(col("src_node"), col("dst_node")) as "src",
-                 greatest(col("src_node"), col("dst_node")) as "dst",
-                 sliceCol(g, col("start_ts")) as "slice")
-      .groupBy("src", "dst", "slice").count().collect()
-      .map(r => (r.getLong(0), r.getLong(1), r.getInt(2)) -> r.getLong(3)).toMap
+  def counts(trips: DataFrame): Map[(Long, Long, Int, Int), Long] =
+    trips.groupBy(col("src_node"), col("dst_node"),
+                  sliceCol(TDay, col("start_ts")) as "day", sliceCol(THour, col("start_ts")) as "hour")
+      .count().collect()
+      .map(r => (r.getLong(0), r.getLong(1), r.getInt(2), r.getInt(3)) -> r.getLong(4)).toMap
+
+  /** Trips per unordered node pair and slice: (src <= dst, slice) → n. */
+  def sliceCounts(counts: Map[(Long, Long, Int, Int), Long],
+                  g: Granularity): Map[(Long, Long, Int), Long] =
+    counts.toSeq.groupMapReduce { case ((s, d, day, hour), _) =>
+      val slice = g match { case TNull => 0; case TDay => day; case THour => hour }
+      (math.min(s, d), math.max(s, d), slice)
+    }(_._2)(_ + _)
 
   /** Node activity profiles: (node_id, slice) → trip-endpoint count.
     * A trip contributes both its endpoints, so any (i,j,s) trip implies
@@ -79,15 +86,15 @@ object TemporalGraphs {
     * sorted by (src, dst), with self-loops included (their trips are
     * co-active by definition — both endpoints are the same node).
     */
-  def weights(trips: DataFrame, g: Granularity,
+  def weights(counts: Map[(Long, Long, Int, Int), Long], g: Granularity,
               gamma: Double = DefaultGamma): Seq[(Long, Long, Double)] = {
-    val counts = sliceCounts(trips, g)
-    val p = profiles(counts)
+    val slices = sliceCounts(counts, g)
+    val p = profiles(slices)
     val total = p.groupMapReduce(_._1._1)(_._2)(_ + _)
     def q(node: Long, s: Int): Double = p((node, s)).toDouble / total(node)
     // summed in ascending slice order, so the weights do not depend on
     // hash iteration order
-    counts.toSeq.sortBy(_._1)
+    slices.toSeq.sortBy(_._1)
       .map { case ((a, b, s), n) =>
         (a, b) -> n * math.pow(g.slices * (q(a, s) + q(b, s)) / 2, gamma) }
       .groupMapReduce(_._1)(_._2)(_ + _)
@@ -95,10 +102,10 @@ object TemporalGraphs {
       .collect { case ((a, b), w) if w > 0 => (a, b, w) }
   }
 
-  /** [[weights]] as a DataFrame: src, dst, weight. */
+  /** [[weights]] of the trips' [[counts]] as a DataFrame: src, dst, weight. */
   def edges(spark: SparkSession, trips: DataFrame, g: Granularity,
             gamma: Double = DefaultGamma): DataFrame = {
     import spark.implicits._
-    weights(trips, g, gamma).toDF("src", "dst", "weight")
+    weights(counts(trips), g, gamma).toDF("src", "dst", "weight")
   }
 }

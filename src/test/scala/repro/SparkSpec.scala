@@ -1,5 +1,8 @@
 package repro
 
+import java.util.concurrent.{CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -16,11 +19,37 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** Number of Spark jobs `body` starts. A marker job then drains the
+    * listener: events reach a listener in order, so once it has seen the
+    * marker start, every job `body` started has been counted.
+    */
+  def jobsStarted(body: => Any): Int = {
+    val sc = spark.sparkContext
+    val jobs = new AtomicInteger
+    val drained = new CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (Option(e.properties).exists(_.getProperty(SparkSpec.Marker) != null)) drained.countDown()
+        else jobs.incrementAndGet()
+    }
+    sc.addSparkListener(listener)
+    try {
+      body
+      sc.setLocalProperty(SparkSpec.Marker, "drain")
+      try sc.parallelize(Seq(1), 1).count()
+      finally sc.setLocalProperty(SparkSpec.Marker, null)
+      assert(drained.await(60, TimeUnit.SECONDS), "the listener never saw the marker job")
+      jobs.get
+    } finally sc.removeSparkListener(listener)
+  }
 }
 
 object SparkSpec {
+  private val Marker = "repro.jobsStarted.marker"
+
   lazy val shared: SparkSession = {
-    val s = SparkSession.builder
+    val s = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro")
       .config("spark.sql.shuffle.partitions",

@@ -64,6 +64,16 @@ class PipelineSpec extends SparkSpec {
     assert(hourly.summary.modularity > basic.summary.modularity)
   }
 
+  test("community tables start no Spark job once the selected graph is collected") {
+    val selected = res.selected
+    assert(selected.counts.nonEmpty && selected.isNew.nonEmpty)
+    val jobs = jobsStarted {
+      for (g <- Seq(TemporalGraphs.TNull, TemporalGraphs.TDay, TemporalGraphs.THour))
+        Pipeline.communities(spark, selected, g)
+    }
+    assert(jobs === 0)
+  }
+
   test("pipeline is deterministic end to end") {
     val res2 = Pipeline.run(spark, cfg)
     assert(res2.selection.selected.map(_.nodeId) === res.selection.selected.map(_.nodeId))

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.data.{Cleaning, MobySynth}
 import repro.geo.Haversine
@@ -12,8 +11,7 @@ class StationSelectionSpec extends SparkSpec {
   private lazy val sel = repro.TestFixtures.selection
 
   test("degrees: sum of degrees equals 2 x trips") {
-    import spark.implicits._
-    val total = StationSelection.degrees(cand.trips).agg(sum($"degree")).head.getLong(0)
+    val total = StationSelection.degrees(cand.edgeTrips).values.sum
     assert(total === 2 * cand.trips.count())
   }
 
@@ -21,7 +19,7 @@ class StationSelectionSpec extends SparkSpec {
     import spark.implicits._
     val out = cand.trips.groupBy($"src_node").count().as[(Long, Long)].collect().toMap
     val in = cand.trips.groupBy($"dst_node").count().as[(Long, Long)].collect().toMap
-    val deg = StationSelection.degrees(cand.trips).as[(Long, Long)].collect().toMap
+    val deg = StationSelection.degrees(cand.edgeTrips)
     deg.foreach { case (node, d) =>
       assert(d === out.getOrElse(node, 0L) + in.getOrElse(node, 0L))
     }
@@ -29,10 +27,15 @@ class StationSelectionSpec extends SparkSpec {
 
   test("threshold is the minimum fixed-station degree") {
     import spark.implicits._
-    val deg = StationSelection.degrees(cand.trips).as[(Long, Long)].collect().toMap
+    val deg = StationSelection.degrees(cand.edgeTrips)
     val stationIds = cand.nodes.filter($"is_station").select($"node_id").as[Long].collect()
     val expected = stationIds.map(id => deg.getOrElse(id, 0L)).min
     assert(sel.degreeThreshold === expected)
+  }
+
+  test("select starts no Spark job once the candidate graph is collected") {
+    assert(cand.edgeTrips.nonEmpty && cand.nodeTable.nonEmpty)
+    assert(jobsStarted(StationSelection.select(spark, cand)) === 0)
   }
 
   test("rule 3: every selected candidate meets the degree threshold") {

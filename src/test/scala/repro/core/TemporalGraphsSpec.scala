@@ -57,6 +57,27 @@ class TemporalGraphsSpec extends SparkSpec {
     assert(got(3L) === 13)
   }
 
+  test("sliceCounts from the one aggregate equal a per-granularity groupBy") {
+    import spark.implicits._
+    val trips = repro.TestFixtures.selected.trips
+    val zoneKey = "spark.sql.session.timeZone"
+    val zone = spark.conf.get(zoneKey)
+    // Europe/Dublin moves hours (and days near midnight) against UTC and has DST switch days
+    try for (tz <- Seq("UTC", "Europe/Dublin")) {
+      spark.conf.set(zoneKey, tz)
+      val all = counts(trips)
+      for (g <- Seq(TNull, TDay, THour)) {
+        // selected first: TNull's lit(0) in a groupBy would be a column ordinal
+        val expected = trips
+          .select(least($"src_node", $"dst_node") as "src", greatest($"src_node", $"dst_node") as "dst",
+                  sliceCol(g, $"start_ts") as "slice")
+          .groupBy("src", "dst", "slice").count().as[(Long, Long, Int, Long)].collect()
+          .map { case (a, b, s, n) => (a, b, s) -> n }.toMap
+        assert(sliceCounts(all, g) === expected, s"${g.name} under $tz")
+      }
+    } finally spark.conf.set(zoneKey, zone)
+  }
+
   test("TNull edges equal raw undirected trip counts") {
     import spark.implicits._
     val e = edges(spark, toyTrips, TNull).as[(Long, Long, Double)].collect().toMap2
@@ -74,7 +95,7 @@ class TemporalGraphsSpec extends SparkSpec {
 
   test("profiles count trip endpoints per slice") {
     import spark.implicits._
-    val p = profiles(sliceCounts(toyTrips, TDay))
+    val p = profiles(sliceCounts(counts(toyTrips), TDay))
     // node 1: trips 1 (Mon, src), 2 (Mon, dst), 3 (Sat, src)
     assert(p((1L, 0)) === 2L)
     assert(p((1L, 5)) === 1L)
@@ -138,7 +159,7 @@ class TemporalGraphsSpec extends SparkSpec {
   test("total TNull weight equals the number of trips") {
     import spark.implicits._
     val data = repro.TestFixtures.selected
-    val total = edges(spark, data.trips, TNull).agg(sum($"weight")).head.getDouble(0)
+    val total = edges(spark, data.trips, TNull).agg(sum($"weight")).head().getDouble(0)
     assert(total === data.trips.count().toDouble)
   }
 

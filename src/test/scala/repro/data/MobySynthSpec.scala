@@ -148,18 +148,18 @@ class MobySynthSpec extends SparkSpec {
 
   test("generation is deterministic in (sf, seed)") {
     val a = MobySynth.generate(spark, sf, 7L)
-    val sumA = a.rentals.agg(sum(col("rental_location_id")), sum(col("return_location_id"))).head
+    val sumA = a.rentals.agg(sum(col("rental_location_id")), sum(col("return_location_id"))).head()
     val b = MobySynth.generate(spark, sf, 7L)
-    val sumB = b.rentals.agg(sum(col("rental_location_id")), sum(col("return_location_id"))).head
+    val sumB = b.rentals.agg(sum(col("rental_location_id")), sum(col("return_location_id"))).head()
     assert(sumA === sumB)
-    assert(a.locations.agg(sum(col("lat"))).head.getDouble(0)
-      === b.locations.agg(sum(col("lat"))).head.getDouble(0))
+    assert(a.locations.agg(sum(col("lat"))).head().getDouble(0)
+      === b.locations.agg(sum(col("lat"))).head().getDouble(0))
   }
 
   test("different seeds give different data") {
     val b = MobySynth.generate(spark, sf, 8L)
-    assert(data.locations.agg(sum(col("lat"))).head.getDouble(0)
-      !== b.locations.agg(sum(col("lat"))).head.getDouble(0))
+    assert(data.locations.agg(sum(col("lat"))).head().getDouble(0)
+      !== b.locations.agg(sum(col("lat"))).head().getDouble(0))
   }
 
   test("good stations are spatially valid, 3 bad stations are not") {
@@ -253,7 +253,7 @@ class MobySynthSpec extends SparkSpec {
   test("timestamps are inside the paper's observation window") {
     import spark.implicits._
     val good = data.rentals.filter($"rental_id" < c.goodRentals)
-    val bounds = good.agg(min($"start_ts"), max($"start_ts")).head
+    val bounds = good.agg(min($"start_ts"), max($"start_ts")).head()
     assert(bounds.getTimestamp(0).toString >= "2020-01-06")
     assert(bounds.getTimestamp(1).toString <= "2021-09-13")
     assert(good.filter($"end_ts" <= $"start_ts").count() === 0L)
