@@ -4,7 +4,6 @@ import scala.collection.mutable
 import scala.math.Ordering.Double.TotalOrdering
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.geo.Haversine
 
 /** Complete-linkage hierarchical agglomerative clustering with a diameter
   * cut (the paper's §IV-A graph-construction step).
@@ -17,12 +16,14 @@ import repro.geo.Haversine
   * Zheng & Chen, ICCS 2014). Proximity components are implicit: no pair
   * links two of them. We therefore:
   *
-  *   1. build the ≤`cutM` neighbour pairs with [[SpatialGrid]] (Spark SQL)
-  *      and collect them with the points;
-  *   2. run exact complete linkage over those pairs on the driver;
+  *   1. build the ≤`cutM` neighbour pairs with [[SpatialGrid.pairs]];
+  *   2. run exact complete linkage over those pairs;
   *   3. optionally enforce the paper's Rule 2 (cluster centroids >= 50 m
-  *      apart) on the same driver-side labels by iteratively merging the
-  *      closest centroid pair below the threshold.
+  *      apart) by repeatedly merging the closest centroid pair below the
+  *      threshold, found with [[SpatialGrid.pairs]] over the centroids.
+  *
+  * All of it runs on the driver: complete linkage needs every point of a
+  * proximity component in one place.
   *
   * Cluster ids are the minimum member point id — stable and deterministic.
   */
@@ -80,25 +81,19 @@ object HAC {
     parent
   }
 
-  /** Cluster `points` (columns: id, lat, lon) with complete linkage and
-    * diameter cut `cutM`; if `minCentroidSepM` > 0, post-merge clusters
-    * whose centroids are closer than that (paper Rule 2).
-    */
-  def cluster(spark: SparkSession, points: DataFrame, cutM: Double,
-              minCentroidSepM: Double = 0.0): Result = {
-    import spark.implicits._
-    val pts = points.select($"id".cast("long"), $"lat".cast("double"), $"lon".cast("double"))
-      .as[(Long, Double, Double)].collect().sortBy(_._1)
-    val ids = pts.map(_._1); val lats = pts.map(_._2); val lons = pts.map(_._3)
-    val n = ids.length
+  /** A cluster: its id (the least member id), centroid and point count. */
+  final case class Cluster(id: Long, lat: Double, lon: Double, nPoints: Long)
 
-    val pairs = SpatialGrid.neighbourPairs(spark, pts.toSeq.toDF("id", "lat", "lon"), cutM)
-      .select($"id_a", $"id_b").as[(Long, Long)].collect()
-      .map { case (a, b) =>
-        val (i, j) = (java.util.Arrays.binarySearch(ids, a), java.util.Arrays.binarySearch(ids, b))
-        (i, j, Haversine.metres(lats(i), lons(i), lats(j), lons(j)))
-      }
-    val parent = completeLinkage(n, pairs, cutM)
+  /** Cluster the points (ids(k), lats(k), lons(k)), ids strictly ascending,
+    * with complete linkage and diameter cut `cutM`; if `minCentroidSepM` > 0,
+    * post-merge clusters whose centroids are closer than that (paper Rule 2).
+    * Returns each point's cluster id and the clusters in id order.
+    */
+  def local(ids: Array[Long], lats: Array[Double], lons: Array[Double], cutM: Double,
+            minCentroidSepM: Double): (Array[Long], Seq[Cluster]) = {
+    require(ids.indices.drop(1).forall(k => ids(k - 1) < ids(k)), "point ids must be strictly ascending")
+    val n = ids.length
+    val parent = completeLinkage(n, SpatialGrid.pairs(lats, lons, cutM), cutM)
 
     // centroids, summed in id order
     val (sumLat, sumLon, count) = (new Array[Double](n), new Array[Double](n), new Array[Long](n))
@@ -110,37 +105,36 @@ object HAC {
     val cs = (0 until n).filter(r => parent(r) == r)
       .map(r => C(r, sumLat(r) / count(r), sumLon(r) / count(r), count(r))).toBuffer
 
-    // Rule 2: rescan every centroid pair per merge (O(k²)) and merge the
-    // closest violating pair first into the one with the lower id
-    var done = minCentroidSepM <= 0
-    while (!done) {
-      var bi = -1; var bj = -1; var bd = Double.MaxValue
-      var i = 0
-      while (i < cs.size) {
-        var j = i + 1
-        while (j < cs.size) {
-          val dd = Haversine.metres(cs(i).lat, cs(i).lon, cs(j).lat, cs(j).lon)
-          if (dd < minCentroidSepM && dd < bd) { bd = dd; bi = i; bj = j }
-          j += 1
-        }
-        i += 1
-      }
-      if (bi < 0) done = true
-      else {
-        val (keep, drop) = (cs(bi), cs(bj))
-        val tot = keep.n + drop.n
-        keep.lat = (keep.lat * keep.n + drop.lat * drop.n) / tot
-        keep.lon = (keep.lon * keep.n + drop.lon * drop.n) / tot
-        keep.n = tot
-        parent(drop.root) = keep.root
-        cs.remove(bj)
-      }
+    // Rule 2: merge the closest centroid pair below the separation, ties to
+    // the first pair in cluster-id order, into the one with the lower id
+    def closest = SpatialGrid.pairs(cs.map(_.lat).toArray, cs.map(_.lon).toArray, minCentroidSepM)
+      .filter(_._3 < minCentroidSepM).minByOption { case (i, j, d) => (d, i, j) }
+    var next = if (minCentroidSepM > 0) closest else None
+    while (next.nonEmpty) {
+      val (bi, bj, _) = next.get
+      val (keep, drop) = (cs(bi), cs(bj))
+      val tot = keep.n + drop.n
+      keep.lat = (keep.lat * keep.n + drop.lat * drop.n) / tot
+      keep.lon = (keep.lon * keep.n + drop.lon * drop.n) / tot
+      keep.n = tot
+      parent(drop.root) = keep.root
+      cs.remove(bj)
+      next = closest
     }
     // Rule 2 merged roots into lower roots: one more ascending pass
     for (k <- 0 until n) parent(k) = parent(parent(k))
 
+    (parent.map(ids), cs.toSeq.map(c => Cluster(ids(c.root), c.lat, c.lon, c.n)))
+  }
+
+  /** [[local]] over `points` (columns: id, lat, lon) as DataFrames. */
+  def cluster(spark: SparkSession, points: DataFrame, cutM: Double,
+              minCentroidSepM: Double = 0.0): Result = {
+    import spark.implicits._
+    val (ids, lats, lons) = SpatialGrid.collectSorted(points, "id").unzip3
+    val (clusterOf, clusters) = local(ids, lats, lons, cutM, minCentroidSepM)
     Result(
-      ids.indices.map(k => (ids(k), ids(parent(k)))).toDF("id", "cluster_id"),
-      cs.toSeq.map(c => (ids(c.root), c.lat, c.lon, c.n)).toDF("cluster_id", "c_lat", "c_lon", "n_points"))
+      ids.zip(clusterOf).toSeq.toDF("id", "cluster_id"),
+      clusters.map(c => (c.id, c.lat, c.lon, c.nPoints)).toDF("cluster_id", "c_lat", "c_lon", "n_points"))
   }
 }

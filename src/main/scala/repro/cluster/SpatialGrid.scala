@@ -1,28 +1,28 @@
 package repro.cluster
 
+import scala.collection.mutable
+
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.functions.col
 import repro.geo.Haversine
 
-/** Grid blocking for neighbour-pair generation.
+/** Grid blocking for neighbour-pair generation, on the driver.
   *
   * Points are bucketed into cells of `thresholdM` / R radians of latitude
   * and of the widest longitude span a pair within `thresholdM` can have at
   * the input's largest |lat|. Any two points within `thresholdM` of each
-  * other therefore land in the same or adjacent cells, so emitting each
-  * point into its 3×3 cell neighbourhood and joining on cell id yields a
-  * superset of the true neighbour pairs, which a final Haversine filter
-  * trims exactly. This keeps HAC pair generation O(n · density) instead
-  * of the O(n²) cross join.
+  * other therefore land in the same or adjacent cells, so probing each
+  * point's 3×3 cell neighbourhood finds every true pair, and the Haversine
+  * filter on the probed ones is exact. This keeps pair generation
+  * O(n · density) instead of O(n²).
   */
 object SpatialGrid {
 
-  /** All unordered pairs (id_a < id_b) of `points` (id, lat, lon) whose
-    * Haversine distance is <= thresholdM. Output: id_a, id_b, dist_m.
+  /** All pairs (i, j, metres) with i < j of the points (lats(k), lons(k))
+    * whose Haversine distance is <= thresholdM.
     */
-  def neighbourPairs(spark: SparkSession, points: DataFrame, thresholdM: Double): DataFrame = {
-    import spark.implicits._
-    val maxAbsLat = points.agg(coalesce(max(abs($"lat")), lit(0.0))).as[Double].head()
+  def pairs(lats: Array[Double], lons: Array[Double], thresholdM: Double): Array[(Int, Int, Double)] = {
+    val maxAbsLat = lats.foldLeft(0.0)((m, la) => math.max(m, math.abs(la)))
     // Haversine: sin²(d/2R) = sin²(Δφ/2) + cos φ1·cos φ2·sin²(Δλ/2), so a pair
     // within thresholdM has Δφ ≤ thresholdM/R and
     // sin(Δλ/2) ≤ sin(thresholdM/2R) / cos(maxAbsLat)
@@ -31,28 +31,32 @@ object SpatialGrid {
       math.cos(math.toRadians(maxAbsLat))
     val cellLon = math.toDegrees(2 * math.asin(math.min(1.0, sinHalfLon)))
 
-    val cells = points.select(
-      $"id", $"lat", $"lon",
-      floor($"lat" / cellLat).cast("long") as "cy",
-      floor($"lon" / cellLon).cast("long") as "cx")
+    def cell(k: Int) = (math.floor(lats(k) / cellLat).toLong, math.floor(lons(k) / cellLon).toLong)
+    val cells = mutable.HashMap.empty[(Long, Long), mutable.ArrayBuffer[Int]]
+    for (k <- lats.indices) cells.getOrElseUpdate(cell(k), mutable.ArrayBuffer.empty) += k
 
     // each point probes its own cell and the 8 surrounding ones
-    val offsets = Seq.tabulate(9)(i => (i / 3 - 1, i % 3 - 1))
-    val probes = cells.select(
-      $"id", $"lat", $"lon",
-      explode(array(offsets.map { case (dy, dx) =>
-        struct(($"cy" + dy) as "cy", ($"cx" + dx) as "cx")
-      }: _*)) as "cell")
-      .select($"id" as "id_a", $"lat" as "lat_a", $"lon" as "lon_a",
-              $"cell.cy" as "cy", $"cell.cx" as "cx")
+    val out = mutable.ArrayBuffer.empty[(Int, Int, Double)]
+    for (i <- lats.indices; (cy, cx) = cell(i); dy <- -1 to 1; dx <- -1 to 1;
+         j <- cells.getOrElse((cy + dy, cx + dx), Nil) if i < j) {
+      val d = Haversine.metres(lats(i), lons(i), lats(j), lons(j))
+      if (d <= thresholdM) out += ((i, j, d))
+    }
+    out.toArray
+  }
 
-    probes.join(
-        cells.select($"id" as "id_b", $"lat" as "lat_b", $"lon" as "lon_b", $"cy", $"cx"),
-        Seq("cy", "cx"))
-      .filter($"id_a" < $"id_b")
-      .withColumn("dist_m",
-        Haversine.metresCol($"lat_a", $"lon_a", $"lat_b", $"lon_b"))
-      .filter($"dist_m" <= thresholdM)
-      .select("id_a", "id_b", "dist_m")
+  /** The (id, lat, lon) rows of `table`, with the id in column `id`,
+    * collected and sorted by id.
+    */
+  def collectSorted(table: DataFrame, id: String): Array[(Long, Double, Double)] =
+    table.select(col(id).cast("long"), col("lat").cast("double"), col("lon").cast("double"))
+      .collect().map(r => (r.getLong(0), r.getDouble(1), r.getDouble(2))).sortBy(_._1)
+
+  /** [[pairs]] of `points` (id, lat, lon) as id_a < id_b, dist_m. */
+  def neighbourPairs(spark: SparkSession, points: DataFrame, thresholdM: Double): DataFrame = {
+    import spark.implicits._
+    val (ids, lats, lons) = collectSorted(points, "id").unzip3
+    pairs(lats, lons, thresholdM).toSeq.map { case (i, j, d) => (ids(i), ids(j), d) }
+      .toDF("id_a", "id_b", "dist_m")
   }
 }

@@ -1,9 +1,10 @@
 package repro.core
 
+import scala.math.Ordering.Double.TotalOrdering
+
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
-import repro.cluster.HAC
+import org.apache.spark.sql.functions.col
+import repro.cluster.{HAC, SpatialGrid}
 import repro.data.Cleaning.CleanData
 import repro.geo.Haversine
 
@@ -30,7 +31,7 @@ object CandidateGraph {
   final case class Node(id: Long, lat: Double, lon: Double, isStation: Boolean)
 
   /** @param nodes      node_id, lat, lon, is_station
-    * @param assignment location_id, node_id, dist_to_station_m
+    * @param assignment location_id, node_id, station_dist_m
     * @param trips      rental_id, src_node, dst_node, start_ts
     */
   final case class Result(nodes: DataFrame, assignment: DataFrame, trips: DataFrame) {
@@ -62,58 +63,50 @@ object CandidateGraph {
     }
   }
 
-  /** Nearest fixed station for every location: location_id, nearest_station,
-    * station_dist_m. Uses a cross join (|L|·|S| ≈ 1.3 M at sf=1).
+  /** Each location's nearest station as (metres, station_id): the least
+    * such pair over every station, computed on the driver (|L|·|S| ≈ 1.3 M
+    * distances at sf=1).
     */
-  def nearestStation(locations: DataFrame, stations: DataFrame): DataFrame = {
-    val l = locations.select(col("location_id"), col("lat") as "l_lat", col("lon") as "l_lon")
-    val s = stations.select(col("station_id"), col("lat") as "s_lat", col("lon") as "s_lon")
-    val joined = l.crossJoin(s)
-      .withColumn("station_dist_m",
-        Haversine.metresCol(col("l_lat"), col("l_lon"), col("s_lat"), col("s_lon")))
-    val w = Window.partitionBy(col("location_id"))
-      .orderBy(col("station_dist_m").asc, col("station_id").asc)
-    joined.withColumn("rn", row_number().over(w))
-      .filter(col("rn") === 1)
-      .select(col("location_id"), col("station_id") as "nearest_station", col("station_dist_m"))
+  private def nearest(locations: Array[(Long, Double, Double)],
+                      stations: Array[(Long, Double, Double)]): Array[(Double, Long)] = {
+    require(stations.nonEmpty, "the candidate graph needs at least one fixed station")
+    locations.map { case (_, la, lo) =>
+      stations.iterator.map { case (s, sla, slo) => (Haversine.metres(la, lo, sla, slo), s) }.min
+    }
   }
 
-  /** Build the candidate graph from cleaned data. */
+  /** [[nearest]] as location_id, nearest_station, station_dist_m. */
+  def nearestStation(locations: DataFrame, stations: DataFrame): DataFrame = {
+    import locations.sparkSession.implicits._
+    val locs = SpatialGrid.collectSorted(locations, "location_id")
+    locs.zip(nearest(locs, SpatialGrid.collectSorted(stations, "station_id"))).toSeq
+      .map { case ((l, _, _), (d, s)) => (l, s, d) }
+      .toDF("location_id", "nearest_station", "station_dist_m")
+  }
+
+  /** Build the candidate graph from cleaned data. The geometry runs on the
+    * driver over the collected stations and locations; Spark maps the trips.
+    */
   def build(spark: SparkSession, data: CleanData,
             preAssignM: Double = 50.0, hacCutM: Double = 100.0,
             centroidSepM: Double = 50.0): Result = {
     import spark.implicits._
 
-    val near = nearestStation(data.locations, data.stations).cache()
+    val stations = SpatialGrid.collectSorted(data.stations, "station_id")
+    val locs = SpatialGrid.collectSorted(data.locations, "location_id")
+    val near = nearest(locs, stations)
 
-    val preAssigned = near.filter($"station_dist_m" <= preAssignM)
-      .select($"location_id", $"nearest_station" as "node_id", $"station_dist_m")
+    // locations within preAssignM join their station; the rest are clustered
+    val (pre, rest) = locs.indices.partition(k => near(k)._1 <= preAssignM)
+    val (ids, lats, lons) = rest.map(locs(_)).toArray.unzip3
+    val (clusterOf, clusters) = HAC.local(ids, lats, lons, hacCutM, centroidSepM)
+    val nodeOf = pre.map(near(_)._2) ++ clusterOf.map(_ + CandidateOffset)
+    val assignment = (pre ++ rest).zip(nodeOf).map { case (k, node) => (locs(k)._1, node, near(k)._1) }
+      .toDF("location_id", "node_id", "station_dist_m")
 
-    val toCluster = data.locations
-      .join(near.filter($"station_dist_m" > preAssignM).select($"location_id", $"station_dist_m"),
-            "location_id")
-      .select($"location_id" as "id", $"lat", $"lon", $"station_dist_m")
-
-    val hac = HAC.cluster(spark, toCluster.select($"id", $"lat", $"lon"),
-                          cutM = hacCutM, minCentroidSepM = centroidSepM)
-
-    val clustered = hac.assignment
-      .join(toCluster.select($"id", $"station_dist_m"), "id")
-      .select($"id" as "location_id",
-              ($"cluster_id" + CandidateOffset) as "node_id",
-              $"station_dist_m")
-
-    // eager localCheckpoint (not cache): the assignment is evaluated once,
-    // and the trip mapping plans from its partitions instead of re-running
-    // the nearest-station cross join and window
-    val assignment = preAssigned.unionByName(clustered).localCheckpoint(true)
-
-    val stationNodes = data.stations.select(
-      $"station_id" as "node_id", $"lat", $"lon", lit(true) as "is_station")
-    val candidateNodes = hac.centroids.select(
-      ($"cluster_id" + CandidateOffset) as "node_id",
-      $"c_lat" as "lat", $"c_lon" as "lon", lit(false) as "is_station")
-    val nodes = stationNodes.unionByName(candidateNodes).localCheckpoint(true)
+    val nodes = (stations.toSeq.map { case (s, la, lo) => (s, la, lo, true) } ++
+      clusters.map(c => (c.id + CandidateOffset, c.lat, c.lon, false)))
+      .toDF("node_id", "lat", "lon", "is_station")
 
     val srcMap = assignment.select($"location_id" as "rental_location_id", $"node_id" as "src_node")
     val dstMap = assignment.select($"location_id" as "return_location_id", $"node_id" as "dst_node")

@@ -1,8 +1,5 @@
 package repro.geo
 
-import org.apache.spark.sql.Column
-import org.apache.spark.sql.functions._
-
 /** Haversine geodesic distance (paper eq. 1).
   *
   * The paper uses the haversine formula because it "remains accurate for
@@ -27,18 +24,6 @@ object Haversine {
       math.cos(phi1) * math.cos(phi2) * math.pow(math.sin(dLam / 2), 2)
     // clamp guards against rounding pushing a slightly above 1 for antipodes
     2 * EarthRadiusM * math.asin(math.sqrt(math.min(1.0, a)))
-  }
-
-  /** Same formula as a Catalyst expression so distance computations stay in
-    * the Spark plan (no UDF serialisation, fully codegen-able).
-    */
-  def metresCol(lat1: Column, lon1: Column, lat2: Column, lon2: Column): Column = {
-    val phi1 = radians(lat1)
-    val phi2 = radians(lat2)
-    val dPhi = radians(lat2 - lat1)
-    val dLam = radians(lon2 - lon1)
-    val a = pow(sin(dPhi / 2), 2) + cos(phi1) * cos(phi2) * pow(sin(dLam / 2), 2)
-    lit(2 * EarthRadiusM) * asin(sqrt(least(lit(1.0), a)))
   }
 
   /** Metres of one degree of latitude (constant on the sphere). */

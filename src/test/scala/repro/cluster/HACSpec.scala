@@ -229,6 +229,19 @@ class HACSpec extends SparkSpec {
       assert(Haversine.metres(a._1, a._2, b._1, b._2) >= 80.0)
   }
 
+  test("cluster(): Rule 2 merges the closest pair first, ties to the first pair in id order") {
+    import spark.implicits._
+    // dyadic longitudes 1/4096 degree (about 16 m) apart: both neighbour
+    // distances are bitwise equal and the outer pair is about 32 m apart
+    val pts = (0 until 3).map(k => (k.toLong, 53.25, -6.25 + k / 4096.0))
+    val Seq(a, b, c) = pts
+    assert(Haversine.metres(a._2, a._3, b._2, b._3) == Haversine.metres(b._2, b._3, c._2, c._3))
+    // a 1 m cut leaves three singletons; merging {0, 1} moves its centroid
+    // about 24 m from point 2, so no second merge follows
+    val res = runCluster(pts, 1.0, 20.0)
+    assert(res.assignment.as[(Long, Long)].collect().toMap === Map(0L -> 0L, 1L -> 0L, 2L -> 2L))
+  }
+
   test("cluster(): merged centroid is the point-count weighted mean") {
     import spark.implicits._
     val blob1 = (0 until 8).map { i => val (la, lo) = at(53.33, -6.26, i % 3, i / 3); (i.toLong, la, lo) }

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.data.{Cleaning, MobySynth}
@@ -46,6 +47,27 @@ class CandidateGraphSpec extends SparkSpec {
       assert(near(id)._1 === best._2)
       assert(math.abs(near(id)._2 - best._1) < 1e-9)
     }
+  }
+
+  test("nearestStation breaks distance ties by the lower station id") {
+    import spark.implicits._
+    val stations = Seq((7L, 53.34, -6.26), (3L, 53.34, -6.26)).toDF("station_id", "lat", "lon")
+    val locations = Seq((1L, 53.341, -6.261)).toDF("location_id", "lat", "lon")
+    val near = CandidateGraph.nearestStation(locations, stations)
+      .select($"nearest_station").as[Long].collect()
+    assert(near.toSeq === Seq(3L))
+  }
+
+  test("the candidate graph does not depend on row order or partitioning") {
+    import spark.implicits._
+    def shuffled(df: DataFrame) = df.repartition(7).orderBy(rand(3))
+    val other = CandidateGraph.build(spark, Cleaning.CleanData(
+      shuffled(cleaned.stations), shuffled(cleaned.locations), shuffled(cleaned.rentals)))
+    assert(other.nodeTable.sortBy(_.id) === cand.nodeTable.sortBy(_.id))
+    assert(other.edgeTrips === cand.edgeTrips)
+    def assigned(r: CandidateGraph.Result) =
+      r.assignment.select($"location_id", $"node_id").as[(Long, Long)].collect().sorted.toSeq
+    assert(assigned(other) === assigned(cand))
   }
 
   test("station nodes carry station coords; candidate nodes carry centroids") {

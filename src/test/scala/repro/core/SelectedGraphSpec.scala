@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.{Oracle, SparkSpec}
-import repro.data.{Cleaning, MobySynth}
 import repro.geo.Haversine
 
 /** Tests for the selected graph (paper §V-B, Table III). */

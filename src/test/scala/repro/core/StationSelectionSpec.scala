@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.data.{Cleaning, MobySynth}
 import repro.geo.Haversine
 
 /** Tests for Algorithm 1 (station ranking and selection). */

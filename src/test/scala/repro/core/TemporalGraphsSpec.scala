@@ -94,7 +94,6 @@ class TemporalGraphsSpec extends SparkSpec {
   }
 
   test("profiles count trip endpoints per slice") {
-    import spark.implicits._
     val p = profiles(sliceCounts(counts(toyTrips), TDay))
     // node 1: trips 1 (Mon, src), 2 (Mon, dst), 3 (Sat, src)
     assert(p((1L, 0)) === 2L)

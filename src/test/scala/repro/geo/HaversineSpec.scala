@@ -87,26 +87,6 @@ class HaversineSpec extends SparkSpec {
     assert(Haversine.metresPerDegLon(53.0) > Haversine.metresPerDegLon(80.0))
   }
 
-  test("Column expression matches the scalar implementation") {
-    import spark.implicits._
-    import org.apache.spark.sql.functions.col
-    val pts = Seq(
-      (53.3498, -6.2603, 53.3382, -6.2591),
-      (53.3498, -6.2603, 51.8985, -8.4756),
-      (53.30, -6.14, 53.30, -6.14),
-      (53.356, -6.330, 53.290, -6.145),
-    ).toDF("la1", "lo1", "la2", "lo2")
-    val got = pts.select(
-      Haversine.metresCol(col("la1"), col("lo1"), col("la2"), col("lo2")) as "d")
-      .collect().map(_.getDouble(0))
-    val exp = Seq(
-      Haversine.metres(53.3498, -6.2603, 53.3382, -6.2591),
-      Haversine.metres(53.3498, -6.2603, 51.8985, -8.4756),
-      0.0,
-      Haversine.metres(53.356, -6.330, 53.290, -6.145))
-    got.zip(exp).foreach { case (g, e) => assert(math.abs(g - e) < 1e-6, s"$g vs $e") }
-  }
-
   test("MetresPerDegLat constant is consistent with the formula") {
     val d = Haversine.metres(53.0, -6.2, 53.001, -6.2)
     assert(math.abs(d - Haversine.MetresPerDegLat * 0.001) < 0.01)
