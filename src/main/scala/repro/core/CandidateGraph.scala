@@ -32,16 +32,19 @@ object CandidateGraph {
 
   /** @param nodes      node_id, lat, lon, is_station
     * @param assignment location_id, node_id, station_dist_m
-    * @param trips      rental_id, src_node, dst_node, start_ts
+    * @param trips      rental_id, src_node, dst_node, start_ts: a lazy view,
+    *                   the cleaned rentals joined onto `assignment`
     */
   final case class Result(nodes: DataFrame, assignment: DataFrame, trips: DataFrame) {
 
-    /** (src_node, dst_node) → trips, collected once: Table II, the degrees
-      * of Algorithm 1 and the selected graph read it in plain Scala.
+    /** (src_node, dst_node, day, hour) → trips, collected once: Table II,
+      * the degrees of Algorithm 1 and the selected graph read it in plain
+      * Scala. Day and hour take the session time zone of the first read.
       */
-    lazy val edgeTrips: Map[(Long, Long), Long] =
-      trips.groupBy(col("src_node"), col("dst_node")).count().collect()
-        .map(r => (r.getLong(0), r.getLong(1)) -> r.getLong(2)).toMap
+    lazy val counts: Map[(Long, Long, Int, Int), Long] = TemporalGraphs.counts(trips)
+
+    /** (src_node, dst_node) → trips. */
+    lazy val edgeTrips: Map[(Long, Long), Long] = TemporalGraphs.pairCounts(counts)
 
     /** The node table, collected once (~1 k nodes at sf=1). */
     lazy val nodeTable: Seq[Node] =
@@ -114,7 +117,6 @@ object CandidateGraph {
       .join(srcMap, "rental_location_id")
       .join(dstMap, "return_location_id")
       .select($"rental_id", $"src_node", $"dst_node", $"start_ts")
-      .localCheckpoint(true)
 
     Result(nodes, assignment, trips)
   }

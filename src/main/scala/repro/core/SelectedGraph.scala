@@ -17,22 +17,23 @@ object SelectedGraph {
   final case class Stats(preExisting: GroupStats, selected: GroupStats,
                          totalStations: Long, totalTrips: Long, totalEdges: Long)
 
-  /** @param nodes node_id, lat, lon, is_station (pre-existing), is_new
-    * @param trips rental_id, src_node, dst_node, start_ts (redirected)
+  /** @param nodes  node_id, lat, lon, is_station (pre-existing), is_new
+    * @param trips  rental_id, src_node, dst_node, start_ts (redirected): a lazy
+    *               view over the candidate graph's trips
+    * @param counts (src_node, dst_node, day, hour) → trips of `trips`: the
+    *               selected graph has a few hundred nodes, so every
+    *               post-selection table and all three temporal graphs are
+    *               plain Scala projections of it
     */
-  final case class Result(nodes: DataFrame, trips: DataFrame) {
-
-    /** (src_node, dst_node, day, hour) → trips, collected once: the selected
-      * graph has a few hundred nodes, so every post-selection table and all
-      * three temporal graphs are plain Scala projections of it.
-      */
-    lazy val counts: Map[(Long, Long, Int, Int), Long] = TemporalGraphs.counts(trips)
+  final case class Result(nodes: DataFrame, trips: DataFrame,
+                          counts: Map[(Long, Long, Int, Int), Long]) {
 
     /** (src_node, dst_node) → trips. */
-    lazy val edgeTrips: Map[(Long, Long), Long] =
-      counts.toSeq.groupMapReduce { case ((s, d, _, _), _) => (s, d) }(_._2)(_ + _)
+    lazy val edgeTrips: Map[(Long, Long), Long] = TemporalGraphs.pairCounts(counts)
 
-    /** node_id → is_new (selected by Algorithm 1 rather than pre-existing). */
+    /** node_id → is_new (selected by Algorithm 1 rather than pre-existing).
+      * `nodes` is a local relation, so collecting it starts no Spark job.
+      */
     lazy val isNew: Map[Long, Boolean] =
       nodes.select(col("node_id"), col("is_new")).collect()
         .map(r => r.getLong(0) -> r.getBoolean(1)).toMap
@@ -50,7 +51,10 @@ object SelectedGraph {
     }
   }
 
-  /** Redirect trips at rejected candidates to the nearest final station. */
+  /** Redirect trips at rejected candidates to the nearest final station.
+    * Redirection relabels nodes, so `counts` is the candidate graph's
+    * collected aggregate relabelled and summed on the driver.
+    */
   def build(spark: SparkSession, candidate: CandidateGraph.Result,
             selection: StationSelection.Result): Result = {
     import spark.implicits._
@@ -68,6 +72,11 @@ object SelectedGraph {
       r.nodeId -> nearest.id
     }.toMap
 
+    val node = (n: Long) => remap.getOrElse(n, n)
+    val counts = candidate.counts.toSeq.groupMapReduce { case ((s, d, day, hour), _) =>
+      (node(s), node(d), day, hour)
+    }(_._2)(_ + _)
+
     val remapDf = remap.toSeq.toDF("old_node", "new_node")
     val trips = candidate.trips
       .join(remapDf.select($"old_node" as "src_node", $"new_node" as "src_new"),
@@ -78,8 +87,7 @@ object SelectedGraph {
               coalesce($"src_new", $"src_node") as "src_node",
               coalesce($"dst_new", $"dst_node") as "dst_node",
               $"start_ts")
-      .localCheckpoint(true)
 
-    Result(finalNodes, trips)
+    Result(finalNodes, trips, counts)
   }
 }

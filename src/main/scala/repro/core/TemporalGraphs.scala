@@ -45,14 +45,19 @@ object TemporalGraphs {
   }
 
   /** Trips per directed node pair, day and hour: (src, dst, day, hour) → n.
-    * The one Spark aggregate behind a graph's edge weights; day and hour
-    * are [[sliceCol]]s, computed in Spark under the session time zone.
+    * The one Spark aggregate behind the edge weights: the candidate graph
+    * collects it and the selected graph relabels it; day and hour are
+    * [[sliceCol]]s, computed in Spark under the session time zone.
     */
   def counts(trips: DataFrame): Map[(Long, Long, Int, Int), Long] =
     trips.groupBy(col("src_node"), col("dst_node"),
                   sliceCol(TDay, col("start_ts")) as "day", sliceCol(THour, col("start_ts")) as "hour")
       .count().collect()
       .map(r => (r.getLong(0), r.getLong(1), r.getInt(2), r.getInt(3)) -> r.getLong(4)).toMap
+
+  /** Trips per directed node pair: (src, dst) → n. */
+  def pairCounts(counts: Map[(Long, Long, Int, Int), Long]): Map[(Long, Long), Long] =
+    counts.toSeq.groupMapReduce { case ((s, d, _, _), _) => (s, d) }(_._2)(_ + _)
 
   /** Trips per unordered node pair and slice: (src <= dst, slice) → n. */
   def sliceCounts(counts: Map[(Long, Long, Int, Int), Long],

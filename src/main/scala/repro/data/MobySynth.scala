@@ -474,9 +474,10 @@ object MobySynth {
     // Eager localCheckpoint evaluates each table once, here: the rentals'
     // timestamps take this call's session time zone, and downstream plans
     // start from the checkpointed partitions instead of re-shipping the
-    // driver's rows with every job.
+    // driver's rows with every job. locationMeta is test ground truth with
+    // no zone-dependent column, so it stays a local relation.
     MobyData(stations.localCheckpoint(true), locations.localCheckpoint(true),
              goodRentals.unionByName(badRentals).localCheckpoint(true),
-             locationMeta.localCheckpoint(true))
+             locationMeta)
   }
 }

@@ -4,21 +4,21 @@ import java.util.concurrent.{CountDownLatch, TimeUnit}
 import java.util.concurrent.atomic.AtomicInteger
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
-import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * limit). Broadcast joins are disabled so every join (cleaning's
+  * semi-joins, the trip mapping, the redirection) runs as a shuffled
+  * sort-merge join. With broadcasting on, a join's plan follows the
+  * estimated and, under adaptive execution, measured sizes of its sides,
+  * and at test scale nearly every side would broadcast: the tests would
+  * check only that plan, never the sort-merge one larger inputs get.
   */
-trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
+trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared
-
-  override def afterAll(): Unit = { super.afterAll() }
 
   /** Number of Spark jobs `body` starts. A marker job then drains the
     * listener: events reach a listener in order, so once it has seen the

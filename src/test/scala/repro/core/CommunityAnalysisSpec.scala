@@ -9,10 +9,10 @@ class CommunityAnalysisSpec extends SparkSpec {
   private def mkSelected(nodes: Seq[(Long, Double, Double, Boolean, Boolean)],
                          trips: Seq[(Long, Long, Long)]): SelectedGraph.Result = {
     import spark.implicits._
-    SelectedGraph.Result(
-      nodes.toDF("node_id", "lat", "lon", "is_station", "is_new"),
-      trips.map { case (id, s, d) => (id, s, d, Timestamp.valueOf("2020-06-01 10:00:00")) }
-        .toDF("rental_id", "src_node", "dst_node", "start_ts"))
+    val t = trips.map { case (id, s, d) => (id, s, d, Timestamp.valueOf("2020-06-01 10:00:00")) }
+      .toDF("rental_id", "src_node", "dst_node", "start_ts")
+    SelectedGraph.Result(nodes.toDF("node_id", "lat", "lon", "is_station", "is_new"), t,
+                         TemporalGraphs.counts(t))
   }
 
   private lazy val toy = mkSelected(

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.functions.{expr, hour}
 import repro.{Oracle, SparkSpec}
 import repro.geo.Haversine
 
@@ -15,6 +16,33 @@ class SelectedGraphSpec extends SparkSpec {
   test("total trips are conserved by redirection") {
     assert(graph.trips.count() === cand.trips.count())
     assert(stats.totalTrips === cleaned.rentals.count())
+  }
+
+  test("build, counts and stats start no Spark job once the candidate counts are collected") {
+    assert(cand.counts.nonEmpty)
+    val jobs = jobsStarted {
+      val g = SelectedGraph.build(spark, cand, sel)
+      assert(g.counts.nonEmpty && g.stats.totalTrips > 0)
+    }
+    assert(jobs === 0)
+  }
+
+  test("counts equal the Spark aggregate of the trips, candidate and selected (UTC and Europe/Dublin)") {
+    import spark.implicits._
+    val zoneKey = "spark.sql.session.timeZone"
+    val zone = spark.conf.get(zoneKey)
+    // Europe/Dublin moves hours (and days near midnight) against UTC
+    try for (tz <- Seq("UTC", "Europe/Dublin")) {
+      spark.conf.set(zoneKey, tz)
+      val c = cand.copy() // a fresh lazy aggregate, read under this zone
+      val explicit = c.trips
+        .groupBy($"src_node", $"dst_node", expr("weekday(start_ts)") as "day", hour($"start_ts") as "hour")
+        .count().as[(Long, Long, Int, Int, Long)].collect()
+        .map { case (s, d, day, h, n) => (s, d, day, h) -> n }.toMap
+      assert(c.counts === explicit, tz)
+      val g = SelectedGraph.build(spark, c, StationSelection.select(spark, c))
+      assert(g.counts === TemporalGraphs.counts(g.trips), tz)
+    } finally spark.conf.set(zoneKey, zone)
   }
 
   test("final node set = stations + selected candidates") {

@@ -5,7 +5,6 @@ import repro.{Oracle, SparkSpec}
 /** Tests for the §III cleaning pipeline (Table I). */
 class CleaningSpec extends SparkSpec {
 
-  private val sf = repro.TestFixtures.sf
   private lazy val data = repro.TestFixtures.data
   private lazy val c = repro.TestFixtures.counts
   private lazy val cleaned = repro.TestFixtures.cleaned
@@ -24,6 +23,14 @@ class CleaningSpec extends SparkSpec {
   test("cleaning removes exactly the injected bad locations") {
     assert(rpt.origLocations === c.totalLocations)
     assert(rpt.cleanLocations === c.goodLocations)
+  }
+
+  test("report starts at most 2 Spark jobs and equals the six tables' counts") {
+    val jobs = jobsStarted(Cleaning.report(data, cleaned))
+    assert(jobs <= 2, s"report started $jobs jobs")
+    assert(rpt === Cleaning.Report(
+      data.stations.count(), cleaned.stations.count(), data.rentals.count(),
+      cleaned.rentals.count(), data.locations.count(), cleaned.locations.count()))
   }
 
   test("cleaned rentals have no null endpoint ids") {
