@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.math.Ordering.Double.TotalOrdering
-
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.col
 import repro.cluster.{HAC, SpatialGrid}
@@ -66,16 +64,14 @@ object CandidateGraph {
     }
   }
 
-  /** Each location's nearest station as (metres, station_id): the least
-    * such pair over every station, computed on the driver (|L|·|S| ≈ 1.3 M
-    * distances at sf=1).
+  /** Each location's nearest station as (metres, station_id), computed on
+    * the driver (|L|·|S| ≈ 1.3 M distances at sf=1).
     */
   private def nearest(locations: Array[(Long, Double, Double)],
                       stations: Array[(Long, Double, Double)]): Array[(Double, Long)] = {
     require(stations.nonEmpty, "the candidate graph needs at least one fixed station")
-    locations.map { case (_, la, lo) =>
-      stations.iterator.map { case (s, sla, slo) => (Haversine.metres(la, lo, sla, slo), s) }.min
-    }
+    val points = stations.toSeq
+    locations.map { case (_, la, lo) => Haversine.nearest(la, lo, points) }
   }
 
   /** [[nearest]] as location_id, nearest_station, station_dist_m. */

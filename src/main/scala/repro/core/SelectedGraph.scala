@@ -66,27 +66,21 @@ object SelectedGraph {
 
     // nearest final station for every rejected candidate node (driver-side:
     // ~1k rejected × ~240 stations)
-    val rejected = selection.candidates.filterNot(_.selected)
-    val remap: Map[Long, Long] = rejected.map { r =>
-      val nearest = finals.minBy(n => (Haversine.metres(r.lat, r.lon, n.lat, n.lon), n.id))
-      r.nodeId -> nearest.id
-    }.toMap
+    val finalPoints = finals.map(n => (n.id, n.lat, n.lon))
+    val remap: Map[Long, Long] = selection.candidates.filterNot(_.selected)
+      .map(r => r.nodeId -> Haversine.nearest(r.lat, r.lon, finalPoints)._2).toMap
 
     val node = (n: Long) => remap.getOrElse(n, n)
     val counts = candidate.counts.toSeq.groupMapReduce { case ((s, d, day, hour), _) =>
       (node(s), node(d), day, hour)
     }(_._2)(_ + _)
 
-    val remapDf = remap.toSeq.toDF("old_node", "new_node")
-    val trips = candidate.trips
-      .join(remapDf.select($"old_node" as "src_node", $"new_node" as "src_new"),
-            Seq("src_node"), "left")
-      .join(remapDf.select($"old_node" as "dst_node", $"new_node" as "dst_new"),
-            Seq("dst_node"), "left")
-      .select($"rental_id",
-              coalesce($"src_new", $"src_node") as "src_node",
-              coalesce($"dst_new", $"dst_node") as "dst_node",
-              $"start_ts")
+    // a map literal lookup is null for a node that keeps its label
+    val lookup = typedLit(remap)
+    val trips = candidate.trips.select($"rental_id",
+      coalesce(lookup($"src_node"), $"src_node") as "src_node",
+      coalesce(lookup($"dst_node"), $"dst_node") as "dst_node",
+      $"start_ts")
 
     Result(finalNodes, trips, counts)
   }

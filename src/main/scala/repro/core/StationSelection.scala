@@ -40,6 +40,7 @@ object StationSelection {
     val stations = candidate.nodeTable.filter(_.isStation)
     require(stations.nonEmpty, "no fixed stations")
     val threshold = stations.map(s => deg(s.id)).min
+    val stationPoints = stations.map(s => (s.id, s.lat, s.lon))
 
     final case class C(id: Long, lat: Double, lon: Double, deg: Long, var score: Long)
     val cands = candidate.nodeTable.filterNot(_.isStation).sortBy(_.id)
@@ -48,11 +49,7 @@ object StationSelection {
     // Rules 3 and 4
     for (c <- cands) {
       if (c.deg < threshold) c.score = 0
-      else {
-        val dMin = stations.iterator
-          .map(s => Haversine.metres(c.lat, c.lon, s.lat, s.lon)).min
-        if (dMin <= minDistM) c.score = 0
-      }
+      else if (Haversine.nearest(c.lat, c.lon, stationPoints)._1 <= minDistM) c.score = 0
     }
 
     // pairwise pruning in one id-ordered pass: scores only fall to 0, so

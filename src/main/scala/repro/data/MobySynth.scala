@@ -78,7 +78,7 @@ object MobySynth {
     * the positions of the existing stations", and Algorithm 1's 250 m
     * station-exclusion would otherwise reject nearly everything.
     */
-  private[data] def anchors(c: MobyCounts): Seq[Anchor] = {
+  private[data] def anchors(c: MobyCounts): IndexedSeq[Anchor] = {
     val stationCounts = apportion(c.goodStations, Regions.map(_.stationW))
     val hotspotCounts = apportion(c.hotspots, Regions.map(_.hotspotW))
     var sIdx = -1L; var hIdx = -1L
@@ -92,10 +92,10 @@ object MobySynth {
         hIdx += 1; Anchor("hotspot", hIdx, r.code, r.block, r.archetype, la, lo)
       }
     }
-    sts ++ hot
+    (sts ++ hot).toIndexedSeq
   }
 
-  // ---- temporal profiles (unnormalised weights; normalised in cdf()) ----
+  // ---- temporal profiles (unnormalised weights; normalised in Cdf) ----
 
   private[data] val DayWeights: Map[String, Seq[Double]] = Map(
     Archetype.Centre   -> Seq(16, 16, 16, 16, 16, 10, 10),
@@ -122,17 +122,6 @@ object MobySynth {
                          5.5, 6.0, 6.5, 7.5, 9.0, 10.5, 11.5, 11.0, 8.5, 5.5, 3.0, 1.5),
   )
 
-  /** (archetype, bucket, lo, hi) cumulative rows for inverse-CDF sampling. */
-  private[data] def cdfRows(weights: Map[String, Seq[Double]]): Seq[(String, Int, Double, Double)] =
-    weights.toSeq.sortBy(_._1).flatMap { case (a, ws) =>
-      val total = ws.sum
-      val cum = ws.scanLeft(0.0)(_ + _)
-      ws.indices.map { i =>
-        val hi = if (i == ws.size - 1) 1.000001 else cum(i + 1) / total
-        (a, i, cum(i) / total, hi)
-      }
-    }
-
   /** Per-anchor location-allocation weights.
     *
     * Stations follow a moderate zipf (busy hubs, long tail) with a
@@ -157,18 +146,6 @@ object MobySynth {
       (0 until n.toInt).map(i => 1.0 / math.pow(ranks(i) + 5, 1.05))
     }
 
-  /** (cls, idx, lo, hi) cumulative rows for anchor allocation. */
-  private[data] def anchorCdfRows(c: MobyCounts): Seq[(String, Long, Double, Double)] =
-    Seq("station" -> c.goodStations, "hotspot" -> c.hotspots).flatMap { case (cls, n) =>
-      val ws = anchorWeights(cls, n)
-      val total = ws.sum
-      val cum = ws.scanLeft(0.0)(_ + _)
-      ws.indices.map { i =>
-        val hi = if (i == ws.size - 1) 1.000001 else cum(i + 1) / total
-        (cls, i.toLong, cum(i) / total, hi)
-      }
-    }
-
   /** Destination draws concentrate on popular anchors: each anchor's
     * weight is its location-allocation share raised to `DestSharpen`.
     * Without sharpening (uniform draws over a region's locations) the
@@ -177,24 +154,19 @@ object MobySynth {
     */
   private val DestSharpen = 2.0
 
-  /** Per-(region) destination-anchor CDF rows:
-    * (region, cls, anchor_idx, lo, hi).
+  /** Per-region destination sampler: the positions in `anchorSeq` of the
+    * region's anchors in (cls, idx) order, and a [[Cdf]] over their
+    * sharpened weights.
     */
-  private[data] def destAnchorCdfRows(c: MobyCounts,
-                                      anchorSeq: Seq[Anchor]): Seq[(String, String, Long, Double, Double)] = {
+  private[data] def destinations(c: MobyCounts,
+                                 anchorSeq: IndexedSeq[Anchor]): Map[String, (IndexedSeq[Int], Cdf)] = {
     val wS = anchorWeights("station", c.goodStations); val sS = wS.sum
     val wH = anchorWeights("hotspot", c.hotspots); val sH = wH.sum
     def baseW(a: Anchor): Double =
       if (a.cls == "station") 0.7 * wS(a.idx.toInt) / sS else 0.3 * wH(a.idx.toInt) / sH
-    anchorSeq.map(_.region).distinct.sorted.flatMap { region =>
-      val sorted = anchorSeq.filter(_.region == region).sortBy(a => (a.cls, a.idx))
-      val ws = sorted.map(a => math.pow(baseW(a), DestSharpen))
-      val tot = ws.sum
-      val cum = ws.scanLeft(0.0)(_ + _)
-      sorted.indices.map { i =>
-        val hi = if (i == sorted.size - 1) 1.000001 else cum(i + 1) / tot
-        (region, sorted(i).cls, sorted(i).idx, cum(i) / tot, hi)
-      }
+    anchorSeq.indices.groupBy(anchorSeq(_).region).map { case (region, at) =>
+      val sorted = at.sortBy(g => (anchorSeq(g).cls, anchorSeq(g).idx))
+      region -> ((sorted, new Cdf(sorted.map(g => math.pow(baseW(anchorSeq(g)), DestSharpen)))))
     }
   }
 
@@ -245,28 +217,23 @@ object MobySynth {
     math.max(-3.0, math.min(3.0, math.sqrt(-2.0 * StrictMath.log(u1)) * math.cos(2 * math.Pi * u2)))
   }
 
-  /** Inverse-CDF sampler over (key, value, lo, hi) rows listed in
-    * ascending lo within each key, whose [lo, hi) intervals tile [0, 1)
-    * (each hi is the next row's lo): `draw(key, u)` is the value of the
-    * key's row with lo <= u < hi, found by binary search as the last row
-    * with lo <= u.
+  /** Inverse-CDF sampler over unnormalised weights: `lo(k)` is the share
+    * of the weights before index k, and `draw(u)` for u in [0, 1) is the
+    * last k with lo(k) <= u, found by binary search, so k is drawn with
+    * probability weights(k) / weights.sum.
     */
-  private[data] final class Cdf[K, V](rows: Seq[(K, V, Double, Double)]) {
-    private val byKey: Map[K, (IndexedSeq[V], Array[Double])] =
-      rows.map(_._1).distinct.map { k =>
-        val rs = rows.filter(_._1 == k)
-        k -> ((rs.map(_._2).toIndexedSeq, rs.map(_._3).toArray))
-      }.toMap
+  private[data] final class Cdf(weights: Seq[Double]) {
+    private val total = weights.sum
+    val lo: Array[Double] = weights.scanLeft(0.0)(_ + _).init.map(_ / total).toArray
 
-    def draw(key: K, u: Double): V = {
-      val (values, lo) = byKey(key)
+    def draw(u: Double): Int = {
       var a = 0
       var b = lo.length - 1
       while (a < b) {
         val m = (a + b + 1) >>> 1
         if (lo(m) <= u) a = m else b = m - 1
       }
-      values(a)
+      a
     }
   }
 
@@ -278,11 +245,9 @@ object MobySynth {
     def table(rows: Seq[Row], ddl: String): DataFrame =
       spark.createDataFrame(rows.asJava, StructType.fromDDL(ddl))
 
-    val anchorSeq = anchors(c).toIndexedSeq
+    val anchorSeq = anchors(c)
     val nStations = c.goodStations
     val nHot = c.hotspots
-    /** Position of anchor (cls, idx) in anchorSeq: stations, then hotspots. */
-    def anchorAt(cls: String, idx: Long): Int = (if (cls == "station") idx else nStations + idx).toInt
 
     // ---------------- stations ----------------
     val goodStations = anchorSeq.filter(_.cls == "station")
@@ -300,7 +265,8 @@ object MobySynth {
     // rest around hotspots. The first location of each anchor class maps
     // 1:1 to the anchor, so every anchor owns >= 1 location; the rest
     // follow the zipf-with-weak-tail CDF of anchorWeights.
-    val anchorCdf = new Cdf(anchorCdfRows(c))
+    val anchorCdf = Map("station" -> new Cdf(anchorWeights("station", nStations)),
+                        "hotspot" -> new Cdf(anchorWeights("hotspot", nHot)))
     val nLoc = c.goodLocations.toInt
     val locAnchor = new Array[Int](nLoc) // position in anchorSeq
     val locArchetype = new Array[String](nLoc)
@@ -318,8 +284,8 @@ object MobySynth {
       val classLocal = if (isStation) id else id - c.stationLocations
       val idx =
         if (classLocal < (if (isStation) nStations else nHot)) classLocal
-        else anchorCdf.draw(cls, u(11, id))
-      val g = anchorAt(cls, idx)
+        else anchorCdf(cls).draw(u(11, id)).toLong
+      val g = (if (isStation) idx else nStations + idx).toInt // anchorSeq: stations, then hotspots
       val a = anchorSeq(g)
       val sigma = if (isStation) 16.0 else 18.0
       val lat = a.lat + normal(seed, 21, id) * sigma / Haversine.MetresPerDegLat
@@ -366,11 +332,9 @@ object MobySynth {
       "location_id BIGINT NOT NULL, lat DOUBLE, lon DOUBLE")
 
     // ---------------- rentals ----------------
-    val destCdf = new Cdf(destAnchorCdfRows(c, anchorSeq).map { case (region, cls, idx, lo, hi) =>
-      (region, anchorAt(cls, idx), lo, hi)
-    })
-    val dayCdf = new Cdf(cdfRows(DayWeights))
-    val hourCdf = new Cdf(cdfRows(HourWeights))
+    val dest = destinations(c, anchorSeq)
+    val dayCdf = DayWeights.map { case (a, ws) => a -> new Cdf(ws) }
+    val hourCdf = HourWeights.map { case (a, ws) => a -> new Cdf(ws) }
 
     // endpoint plan before temporal sampling, so the mirror pass below can
     // swap endpoints and the trip's clock still follows its actual origin
@@ -400,8 +364,9 @@ object MobySynth {
           val cB = regionCounts.getOrElse(rs(1), 0L).toDouble
           if (u(47, rid) < cA / math.max(1.0, cA + cB)) rs.head else rs(1)
         }
-      val dest = atAnchor(destCdf.draw(destRegion, u(48, rid)))
-      val dLoc = dest(math.floor(u(49, rid) * dest.size).toInt)
+      val (at, cdf) = dest(destRegion)
+      val dLocs = atAnchor(at(cdf.draw(u(48, rid))))
+      val dLoc = dLocs(math.floor(u(49, rid) * dLocs.size).toInt)
       planO(i) = o
       planRet(i) = if (u(51, rid) < RoundTripP) o else dLoc
     }
@@ -417,8 +382,8 @@ object MobySynth {
       val mirror = rid >= c.goodLocations && u(65, rid) < 0.5
       val o = if (mirror) planRet(i - 1) else planO(i)
       val ret = if (mirror) planO(i - 1) else planRet(i)
-      val dow = dayCdf.draw(locArchetype(o.toInt), u(53, rid))
-      val hour = hourCdf.draw(locHarch(o.toInt), u(55, rid))
+      val dow = dayCdf(locArchetype(o.toInt)).draw(u(53, rid))
+      val hour = hourCdf(locHarch(o.toInt)).draw(u(55, rid))
       val week = math.floor(u(57, rid) * NWeeks).toLong
       Row(rid, (math.floor(u(63, rid) * 95).toLong + 1).toInt, (week * 7 + dow).toInt,
           hour * 3600L + math.floor(u(59, rid) * 60).toLong * 60L,

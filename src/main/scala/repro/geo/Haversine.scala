@@ -1,5 +1,7 @@
 package repro.geo
 
+import scala.math.Ordering.Double.TotalOrdering
+
 /** Haversine geodesic distance (paper eq. 1).
   *
   * The paper uses the haversine formula because it "remains accurate for
@@ -25,6 +27,13 @@ object Haversine {
     // clamp guards against rounding pushing a slightly above 1 for antipodes
     2 * EarthRadiusM * math.asin(math.sqrt(math.min(1.0, a)))
   }
+
+  /** The point nearest to (lat, lon) as (metres, id), over points given
+    * as (id, lat, lon): the least such pair, so a distance tie goes to the
+    * lower id. Each distance is `metres(lat, lon, point's lat, point's lon)`.
+    */
+  def nearest(lat: Double, lon: Double, points: Iterable[(Long, Double, Double)]): (Double, Long) =
+    points.iterator.map { case (id, pLat, pLon) => (metres(lat, lon, pLat, pLon), id) }.min
 
   /** Metres of one degree of latitude (constant on the sphere). */
   val MetresPerDegLat: Double = math.Pi * EarthRadiusM / 180.0

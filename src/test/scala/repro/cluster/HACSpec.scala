@@ -234,7 +234,7 @@ class HACSpec extends SparkSpec {
     // dyadic longitudes 1/4096 degree (about 16 m) apart: both neighbour
     // distances are bitwise equal and the outer pair is about 32 m apart
     val pts = (0 until 3).map(k => (k.toLong, 53.25, -6.25 + k / 4096.0))
-    val Seq(a, b, c) = pts
+    val (a, b, c) = (pts(0), pts(1), pts(2))
     assert(Haversine.metres(a._2, a._3, b._2, b._3) == Haversine.metres(b._2, b._3, c._2, c._3))
     // a 1 m cut leaves three singletons; merging {0, 1} moves its centroid
     // about 24 m from point 2, so no second merge follows
@@ -244,7 +244,7 @@ class HACSpec extends SparkSpec {
 
   test("cluster(): merged centroid is the point-count weighted mean") {
     import spark.implicits._
-    val blob1 = (0 until 8).map { i => val (la, lo) = at(53.33, -6.26, i % 3, i / 3); (i.toLong, la, lo) }
+    val blob1 = (0 until 8).map { i => val (la, lo) = at(53.33, -6.26, i % 3, (i / 3).toDouble); (i.toLong, la, lo) }
     val blob2 = (0 until 2).map { i => val (la, lo) = at(53.33, -6.26, 60 + i, 0); (20L + i, la, lo) }
     val merged = runCluster(blob1 ++ blob2, 50.0, 80.0)
     val cents = merged.centroids.select("c_lat", "c_lon", "n_points")

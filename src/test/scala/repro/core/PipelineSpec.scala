@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.community.Louvain
 
 /** End-to-end integration tests at small scale: the full paper pipeline
   * from synthesis through community detection, checking the qualitative
@@ -72,6 +73,27 @@ class PipelineSpec extends SparkSpec {
         Pipeline.communities(spark, selected, g)
     }
     assert(jobs === 0)
+  }
+
+  // Louvain can return a community whose members are joined only through
+  // other communities (Traag, Waltman & van Eck, "From Louvain to Leiden",
+  // Sci. Rep. 2019)
+  test("every Louvain community is connected over its positive-weight edges at every granularity") {
+    for (g <- Seq(TemporalGraphs.TNull, TemporalGraphs.TDay, TemporalGraphs.THour)) {
+      val edges = TemporalGraphs.weights(res.selected.counts, g)
+      val community = Louvain.run(edges).community
+      val inner = edges.collect { case (a, b, w) if w > 0 && community(a) == community(b) => Seq(a -> b, b -> a) }
+        .flatten.groupMap(_._1)(_._2)
+      for ((c, members) <- community.keySet.groupBy(community)) {
+        var reached = Set(members.head)
+        var frontier = reached
+        while (frontier.nonEmpty) {
+          frontier = frontier.flatMap(inner.getOrElse(_, Nil)) -- reached
+          reached ++= frontier
+        }
+        assert(reached === members, s"${g.name}: community $c is disconnected")
+      }
+    }
   }
 
   test("pipeline is deterministic end to end") {

@@ -32,41 +32,46 @@ class MobySynthCalibrationSpec extends SparkSpec {
     assert(ws !== expected, "weights must be permuted across positions")
   }
 
+  /** `lo` starts at 0 and rises strictly below 1, so the intervals
+    * [lo(k), lo(k+1)) and [lo(last), 1) partition [0, 1), none empty.
+    */
+  private def assertPartition(lo: Array[Double], what: String): Unit = {
+    assert(lo.nonEmpty, s"$what has no intervals")
+    assert(lo.head === 0.0, what)
+    (lo :+ 1.0).sliding(2).foreach(p => assert(p(0) < p(1), s"$what: contiguous, non-empty intervals"))
+  }
+
   test("anchor CDF rows partition [0,1] per class") {
-    val rows = MobySynth.anchorCdfRows(MobySynth.counts(0.1))
-    for (cls <- Seq("station", "hotspot")) {
-      val rs = rows.filter(_._1 == cls).sortBy(_._3)
-      assert(rs.head._3 === 0.0)
-      assert(rs.last._4 > 1.0) // inclusive upper guard
-      rs.sliding(2).foreach {
-        case Seq(a, b) => assert(math.abs(a._4 - b._3) < 1e-12, "contiguous intervals")
-        case _ =>
-      }
+    val cnt = MobySynth.counts(0.1)
+    for ((cls, n) <- Seq("station" -> cnt.goodStations, "hotspot" -> cnt.hotspots)) {
+      val ws = MobySynth.anchorWeights(cls, n)
+      val lo = new MobySynth.Cdf(ws).lo
+      assertPartition(lo, cls)
+      // interval k is weight k's share
+      val widths = (lo :+ 1.0).sliding(2).map(p => p(1) - p(0)).toSeq
+      widths.zip(ws).foreach { case (d, w) => assert(math.abs(d - w / ws.sum) < 1e-12, cls) }
     }
   }
 
   test("destination anchor CDF rows partition [0,1] per region") {
     val cnt = MobySynth.counts(0.1)
-    val rows = MobySynth.destAnchorCdfRows(cnt, MobySynth.anchors(cnt))
+    val dest = MobySynth.destinations(cnt, MobySynth.anchors(cnt))
     for (r <- Regions.map(_.code)) {
-      val rs = rows.filter(_._1 == r).sortBy(_._4)
-      assert(rs.nonEmpty, s"region $r has no destination anchors")
-      assert(rs.head._4 === 0.0)
-      assert(rs.last._5 > 1.0)
-      rs.sliding(2).foreach {
-        case Seq(a, b) => assert(math.abs(a._5 - b._4) < 1e-12)
-        case _ =>
-      }
+      assert(dest.contains(r), s"region $r has no destination anchors")
+      val (at, cdf) = dest(r)
+      assert(cdf.lo.length === at.size)
+      assertPartition(cdf.lo, s"region $r")
     }
   }
 
   test("destination CDF references only anchors of its own region") {
     val cnt = MobySynth.counts(0.1)
     val anchors = MobySynth.anchors(cnt)
-    val byKey = anchors.map(a => (a.cls, a.idx) -> a.region).toMap
-    MobySynth.destAnchorCdfRows(cnt, anchors).foreach { case (region, cls, idx, _, _) =>
-      assert(byKey((cls, idx)) === region)
-    }
+    val dest = MobySynth.destinations(cnt, anchors)
+    for ((region, (at, _)) <- dest; g <- at)
+      assert(anchors(g).region === region)
+    // and every anchor is a destination of exactly one region
+    assert(dest.values.flatMap(_._1).toSeq.sorted === anchors.indices)
   }
 
   // ---- anchors geometry ----

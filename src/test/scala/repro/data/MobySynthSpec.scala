@@ -93,26 +93,26 @@ class MobySynthSpec extends SparkSpec {
 
   test("CDF binary search returns the row of the linear lo <= u < hi filter") {
     val rnd = new scala.util.Random(3)
-    def check[K, V](name: String, rows: Seq[(K, V, Double, Double)]): Unit = {
-      val cdf = new MobySynth.Cdf(rows)
-      for (key <- rows.map(_._1).distinct) {
-        val rs = rows.filter(_._1 == key)
-        val us = 0.0 +: (rs.flatMap(r => Seq(r._3, math.nextDown(r._4))) ++ Seq.fill(100)(rnd.nextDouble()))
-        us.foreach { x =>
-          val linear = rs.filter(r => r._3 <= x && x < r._4)
-          assert(linear.size === 1, s"$name $key u=$x")
-          assert(cdf.draw(key, x) === linear.head._2, s"$name $key u=$x")
-        }
+    def check(name: String, cdf: MobySynth.Cdf): Unit = {
+      val lo = cdf.lo.toIndexedSeq
+      val hi = lo.tail :+ 1.0 // each interval ends where the next begins
+      val us = 0.0 +: (lo.indices.flatMap(k => Seq(lo(k), math.nextDown(hi(k)))) ++ Seq.fill(100)(rnd.nextDouble()))
+      us.foreach { x =>
+        val linear = lo.indices.filter(k => lo(k) <= x && x < hi(k))
+        assert(linear.size === 1, s"$name u=$x")
+        assert(cdf.draw(x) === linear.head, s"$name u=$x")
       }
     }
     for (sf <- Seq(0.05, 1.0)) {
       val cnt = MobySynth.counts(sf)
-      check(s"anchor sf=$sf", MobySynth.anchorCdfRows(cnt))
-      check(s"destination sf=$sf", MobySynth.destAnchorCdfRows(cnt, MobySynth.anchors(cnt))
-        .map { case (region, cls, idx, lo, hi) => (region, (cls, idx), lo, hi) })
+      for ((cls, n) <- Seq("station" -> cnt.goodStations, "hotspot" -> cnt.hotspots))
+        check(s"anchor $cls sf=$sf", new MobySynth.Cdf(MobySynth.anchorWeights(cls, n)))
+      for ((region, (_, cdf)) <- MobySynth.destinations(cnt, MobySynth.anchors(cnt)))
+        check(s"destination $region sf=$sf", cdf)
     }
-    check("day", MobySynth.cdfRows(MobySynth.DayWeights))
-    check("hour", MobySynth.cdfRows(MobySynth.HourWeights))
+    for ((kind, weights) <- Seq("day" -> MobySynth.DayWeights, "hour" -> MobySynth.HourWeights);
+         (a, ws) <- weights)
+      check(s"$kind $a", new MobySynth.Cdf(ws))
   }
 
   test("apportion distributes exactly and proportionally") {

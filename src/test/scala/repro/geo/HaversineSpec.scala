@@ -50,7 +50,8 @@ class HaversineSpec extends SparkSpec {
 
   test("property: non-negative and symmetric on 200 Dublin-area pairs") {
     val pts = samples(400)
-    pts.grouped(2).foreach { case Seq((la1, lo1), (la2, lo2)) =>
+    pts.grouped(2).foreach { p =>
+      val ((la1, lo1), (la2, lo2)) = (p(0), p(1))
       val d = Haversine.metres(la1, lo1, la2, lo2)
       assert(d >= 0.0)
       assert(math.abs(d - Haversine.metres(la2, lo2, la1, lo1)) < 1e-8)
@@ -58,12 +59,12 @@ class HaversineSpec extends SparkSpec {
   }
 
   test("property: triangle inequality on 100 Dublin-area triples") {
-    samples(300, seed = 7).grouped(3).foreach {
-      case Seq((la1, lo1), (la2, lo2), (la3, lo3)) =>
-        val ab = Haversine.metres(la1, lo1, la2, lo2)
-        val bc = Haversine.metres(la2, lo2, la3, lo3)
-        val ac = Haversine.metres(la1, lo1, la3, lo3)
-        assert(ac <= ab + bc + 1e-6)
+    samples(300, seed = 7).grouped(3).foreach { p =>
+      val ((la1, lo1), (la2, lo2), (la3, lo3)) = (p(0), p(1), p(2))
+      val ab = Haversine.metres(la1, lo1, la2, lo2)
+      val bc = Haversine.metres(la2, lo2, la3, lo3)
+      val ac = Haversine.metres(la1, lo1, la3, lo3)
+      assert(ac <= ab + bc + 1e-6)
     }
   }
 
