@@ -4,6 +4,7 @@ import scala.collection.mutable
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.types.{DoubleType, LongType}
 import repro.geo.Haversine
 
 /** Grid blocking for neighbour-pair generation, on the driver.
@@ -49,7 +50,7 @@ object SpatialGrid {
     * collected and sorted by id.
     */
   def collectSorted(table: DataFrame, id: String): Array[(Long, Double, Double)] =
-    table.select(col(id).cast("long"), col("lat").cast("double"), col("lon").cast("double"))
+    table.select(col(id).cast(LongType), col("lat").cast(DoubleType), col("lon").cast(DoubleType))
       .collect().map(r => (r.getLong(0), r.getDouble(1), r.getDouble(2))).sortBy(_._1)
 
   /** [[pairs]] of `points` (id, lat, lon) as id_a < id_b, dist_m. */

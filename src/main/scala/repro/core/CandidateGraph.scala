@@ -32,14 +32,14 @@ object CandidateGraph {
     * @param assignment location_id, node_id, station_dist_m
     * @param trips      rental_id, src_node, dst_node, start_ts: a lazy view,
     *                   the cleaned rentals joined onto `assignment`
+    * @param counts     (src_node, dst_node, day, hour) → trips: Table II, the
+    *                   degrees of Algorithm 1 and the selected graph read it
+    *                   in plain Scala. Day and hour are those of the cleaned
+    *                   counts, taken in the session time zone when
+    *                   `Cleaning.clean` ran.
     */
-  final case class Result(nodes: DataFrame, assignment: DataFrame, trips: DataFrame) {
-
-    /** (src_node, dst_node, day, hour) → trips, collected once: Table II,
-      * the degrees of Algorithm 1 and the selected graph read it in plain
-      * Scala. Day and hour take the session time zone of the first read.
-      */
-    lazy val counts: Map[(Long, Long, Int, Int), Long] = TemporalGraphs.counts(trips)
+  final case class Result(nodes: DataFrame, assignment: DataFrame, trips: DataFrame,
+                          counts: Map[(Long, Long, Int, Int), Long]) {
 
     /** (src_node, dst_node) → trips. */
     lazy val edgeTrips: Map[(Long, Long), Long] = TemporalGraphs.pairCounts(counts)
@@ -83,8 +83,11 @@ object CandidateGraph {
       .toDF("location_id", "nearest_station", "station_dist_m")
   }
 
-  /** Build the candidate graph from cleaned data. The geometry runs on the
-    * driver over the collected stations and locations; Spark maps the trips.
+  /** Build the candidate graph from cleaned data, on the driver: the
+    * geometry runs over the collected stations and locations, and `counts`
+    * relabels the cleaned (location, location, day, hour) counts through
+    * location → node. Starts no Spark job when the cleaned tables are local
+    * relations.
     */
   def build(spark: SparkSession, data: CleanData,
             preAssignM: Double = 50.0, hacCutM: Double = 100.0,
@@ -100,8 +103,13 @@ object CandidateGraph {
     val (ids, lats, lons) = rest.map(locs(_)).toArray.unzip3
     val (clusterOf, clusters) = HAC.local(ids, lats, lons, hacCutM, centroidSepM)
     val nodeOf = pre.map(near(_)._2) ++ clusterOf.map(_ + CandidateOffset)
-    val assignment = (pre ++ rest).zip(nodeOf).map { case (k, node) => (locs(k)._1, node, near(k)._1) }
+    val assigned = (pre ++ rest).zip(nodeOf)
+    val assignment = assigned.map { case (k, node) => (locs(k)._1, node, near(k)._1) }
       .toDF("location_id", "node_id", "station_dist_m")
+    val node = assigned.map { case (k, n) => locs(k)._1 -> n }.toMap
+    val counts = data.counts.toSeq.groupMapReduce { case ((l, r, day, hour), _) =>
+      (node(l), node(r), day, hour)
+    }(_._2)(_ + _)
 
     val nodes = (stations.toSeq.map { case (s, la, lo) => (s, la, lo, true) } ++
       clusters.map(c => (c.id + CandidateOffset, c.lat, c.lon, false)))
@@ -114,6 +122,6 @@ object CandidateGraph {
       .join(dstMap, "return_location_id")
       .select($"rental_id", $"src_node", $"dst_node", $"start_ts")
 
-    Result(nodes, assignment, trips)
+    Result(nodes, assignment, trips, counts)
   }
 }

@@ -24,7 +24,10 @@ object Pipeline {
                           selection: StationSelection.Result,
                           selected: SelectedGraph.Result)
 
-  /** Run generation through station selection (Tables I–III). */
+  /** Run generation through station selection (Tables I–III). The one
+    * Spark job is `Cleaning.clean`'s rental aggregate; every later stage
+    * reads its collected counts on the driver.
+    */
   def run(spark: SparkSession, cfg: Config = Config()): Result = {
     val raw = MobySynth.generate(spark, cfg.sf, cfg.seed)
     val clean = Cleaning.clean(raw)

@@ -53,7 +53,7 @@ object SelectedGraph {
 
   /** Redirect trips at rejected candidates to the nearest final station.
     * Redirection relabels nodes, so `counts` is the candidate graph's
-    * collected aggregate relabelled and summed on the driver.
+    * counts relabelled and summed on the driver.
     */
   def build(spark: SparkSession, candidate: CandidateGraph.Result,
             selection: StationSelection.Result): Result = {

@@ -44,10 +44,12 @@ object TemporalGraphs {
     case THour => hour(startTs)
   }
 
-  /** Trips per directed node pair, day and hour: (src, dst, day, hour) → n.
-    * The one Spark aggregate behind the edge weights: the candidate graph
-    * collects it and the selected graph relabels it; day and hour are
-    * [[sliceCol]]s, computed in Spark under the session time zone.
+  /** Trips per directed node pair, day and hour: (src, dst, day, hour) → n,
+    * one Spark aggregate over `trips`; day and hour are [[sliceCol]]s,
+    * computed in Spark under the session time zone. The pipeline's own
+    * counts come from `Cleaning.clean`'s aggregate of the same slices,
+    * relabelled location → node by the candidate graph and node → final
+    * node by the selected graph; this one serves [[edges]] and the tests.
     */
   def counts(trips: DataFrame): Map[(Long, Long, Int, Int), Long] =
     trips.groupBy(col("src_node"), col("dst_node"),

@@ -1,7 +1,9 @@
 package repro.data
 
+import scala.jdk.CollectionConverters._
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
+import repro.core.TemporalGraphs.{sliceCol, TDay, THour}
 import MobySchema._
 
 /** The paper's §III cleaning pipeline (produces Table I).
@@ -16,10 +18,27 @@ import MobySchema._
   *
   * Stations are filtered with the spatial validity rules (1–3): the paper
   * drops 95 → 92 stations.
+  *
+  * The rentals are read by one Spark aggregate, trips per (rental location,
+  * return location, day, hour); rules 4–6 run on the driver over its
+  * collected groups and the collected locations.
   */
 object Cleaning {
 
-  final case class CleanData(stations: DataFrame, locations: DataFrame, rentals: DataFrame)
+  /** @param stations     the valid stations
+    * @param locations    the valid locations the surviving rentals reference,
+    *                     a local relation
+    * @param rentals      the surviving rentals: a lazy view over the raw
+    *                     rentals (two semi-joins) for tests and callers that
+    *                     want rows; the pipeline reads `counts` instead
+    * @param counts       (rental_location_id, return_location_id, day, hour)
+    *                     → surviving rentals; day and hour are
+    *                     [[repro.core.TemporalGraphs.sliceCol]]s, taken in the
+    *                     session time zone when `clean` ran
+    * @param origRentals  rentals before cleaning
+    */
+  final case class CleanData(stations: DataFrame, locations: DataFrame, rentals: DataFrame,
+                             counts: Map[(Long, Long, Int, Int), Long], origRentals: Long)
 
   final case class Report(origStations: Long, cleanStations: Long,
                           origRentals: Long, cleanRentals: Long,
@@ -33,47 +52,53 @@ object Cleaning {
     inDublin && !atSea
   }
 
-  /** Apply all six rules; pure DataFrame transform. */
+  /** Apply all six rules. The one Spark job is the rentals' aggregate; the
+    * generated tables are local relations, so collecting the locations
+    * starts none.
+    */
   def clean(data: MobyData): CleanData = {
     val stations = data.stations.filter(validCoords(col("lat"), col("lon")))
 
     // rules 1-3: spatially valid locations only
     val validLoc = data.locations.filter(validCoords(col("lat"), col("lon")))
+      .select("location_id", "lat", "lon")
+    val validRows = validLoc.collect()
+    val valid = validRows.iterator.map(_.getLong(0)).toSet
 
-    // rules 4-5: both endpoints present and resolvable to a valid location.
-    // Eager localCheckpoint: rule 6 reads the surviving rentals, and every
-    // later stage fans out from them, so they are computed once, here.
+    // rentals per location pair, day and hour; a missing id stays a key
+    val ts = col("start_ts")
+    val groups = data.rentals
+      .groupBy(col("rental_location_id"), col("return_location_id"), sliceCol(TDay, ts), sliceCol(THour, ts))
+      .count().collect()
+
+    // rules 4-5: both endpoint ids present and valid locations
+    val counts = groups.iterator
+      .filter(r => !r.isNullAt(0) && !r.isNullAt(1) && valid(r.getLong(0)) && valid(r.getLong(1)))
+      .map(r => (r.getLong(0), r.getLong(1), r.getInt(2), r.getInt(3)) -> r.getLong(4)).toMap
+
+    // rule 6: drop locations no surviving rental references
+    val referenced = counts.keysIterator.flatMap { case (a, b, _, _) => Iterator(a, b) }.toSet
+    val locations = data.locations.sparkSession.createDataFrame(
+      validRows.filter(r => referenced(r.getLong(0))).toSeq.asJava, validLoc.schema)
+
     val locIds = validLoc.select(col("location_id"))
     val rentals = data.rentals
       .filter(col("rental_location_id").isNotNull && col("return_location_id").isNotNull)
       .join(locIds.withColumnRenamed("location_id", "rental_location_id"), Seq("rental_location_id"), "left_semi")
       .join(locIds.withColumnRenamed("location_id", "return_location_id"), Seq("return_location_id"), "left_semi")
       .select("rental_id", "bike_id", "start_ts", "end_ts", "rental_location_id", "return_location_id")
-      .localCheckpoint(true)
 
-    // rule 6: drop locations no surviving rental references (a semi-join
-    // keeps each location once, so the referenced ids need no distinct)
-    val referenced = rentals.select(col("rental_location_id") as "location_id")
-      .union(rentals.select(col("return_location_id") as "location_id"))
-    val locations = validLoc.join(referenced, Seq("location_id"), "left_semi")
-
-    // stations and locations are checkpointed too: every later stage reads them
-    CleanData(stations.localCheckpoint(true),
-              locations.select("location_id", "lat", "lon").localCheckpoint(true),
-              rentals)
+    CleanData(stations, locations, rentals, counts, origRentals = groups.map(_.getLong(4)).sum)
   }
 
-  /** Original-vs-cleaned counts (the content of Table I), from one
-    * aggregate over the six tables tagged 0–5.
+  /** Original-vs-cleaned counts (the content of Table I): the rentals from
+    * `clean`'s aggregate, the stations and locations from collecting their
+    * local relations. Starts no Spark job on generated data.
     */
-  def report(data: MobyData, cleaned: CleanData): Report = {
-    val tables = Seq(data.stations, cleaned.stations, data.rentals, cleaned.rentals,
-                     data.locations, cleaned.locations)
-    val n = tables.zipWithIndex.map { case (t, tag) => t.select(lit(tag) as "tag") }
-      .reduce(_ union _)
-      .groupBy(col("tag")).count().collect()
-      .map(r => r.getInt(0) -> r.getLong(1)).toMap.withDefaultValue(0L)
-    Report(origStations = n(0), cleanStations = n(1), origRentals = n(2),
-           cleanRentals = n(3), origLocations = n(4), cleanLocations = n(5))
-  }
+  def report(data: MobyData, cleaned: CleanData): Report =
+    Report(origStations = data.stations.collect().length.toLong,
+           cleanStations = cleaned.stations.collect().length.toLong,
+           origRentals = cleaned.origRentals, cleanRentals = cleaned.counts.values.sum,
+           origLocations = data.locations.collect().length.toLong,
+           cleanLocations = cleaned.locations.collect().length.toLong)
 }

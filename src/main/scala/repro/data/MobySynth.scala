@@ -1,11 +1,12 @@
 package repro.data
 
 import java.sql.Timestamp
+import java.time.LocalDate
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.catalyst.expressions.XXH64
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.catalyst.util.DateTimeUtils
 import org.apache.spark.sql.types._
 import org.apache.spark.unsafe.types.UTF8String
 import repro.geo.Haversine
@@ -33,8 +34,9 @@ import MobySchema._
   * xxhash64 over (seed, salt, row id), never `rand()`. The tables are drawn
   * in one pass over plain arrays on the driver, with Spark's own XXH64, so
   * every uniform equals the SQL expression `pmod(xxhash64(seed, salt, id),
-  * 1000003) / 1000003.0`; only the good rentals' timestamps are computed
-  * by Spark, under the session time zone.
+  * 1000003) / 1000003.0`. A good rental starts at midnight, in the session
+  * time zone read at the call, plus its drawn seconds. Every table is a
+  * local relation: no Spark job runs here.
   */
 object MobySynth {
 
@@ -239,11 +241,12 @@ object MobySynth {
 
   /** Generate the full dataset. See class doc; sf=1 ≈ the paper's volume. */
   def generate(spark: SparkSession, sf: Double = 1.0, seed: Long = 7L): MobyData = {
-    import spark.implicits._
     val c = counts(sf)
     def u(salt: Int, keys: Long*): Double = uniform(seed, salt, keys: _*)
-    def table(rows: Seq[Row], ddl: String): DataFrame =
-      spark.createDataFrame(rows.asJava, StructType.fromDDL(ddl))
+    def table(rows: Seq[Row], fields: StructField*): DataFrame =
+      spark.createDataFrame(rows.asJava, StructType(fields))
+    def idField(name: String) = StructField(name, LongType, nullable = false)
+    val latLon = Seq(StructField("lat", DoubleType), StructField("lon", DoubleType))
 
     val anchorSeq = anchors(c)
     val nStations = c.goodStations
@@ -258,7 +261,7 @@ object MobySynth {
       Row(nStations + 2, "Station BAD-nocoord", null, null),
     )
     val stations = table(goodStations ++ badStations,
-      "station_id BIGINT NOT NULL, station_name STRING, lat DOUBLE, lon DOUBLE")
+      idField("station_id") +: StructField("station_name", StringType) +: latLon: _*)
 
     // ---------------- locations ----------------
     // Location ids below c.stationLocations scatter around stations, the
@@ -328,8 +331,7 @@ object MobySynth {
       orphan ++ outside ++ sea ++ noCoord
     }
 
-    val locations = table(goodLocations.toSeq ++ badLocations,
-      "location_id BIGINT NOT NULL, lat DOUBLE, lon DOUBLE")
+    val locations = table(goodLocations.toSeq ++ badLocations, idField("location_id") +: latLon: _*)
 
     // ---------------- rentals ----------------
     val dest = destinations(c, anchorSeq)
@@ -371,6 +373,13 @@ object MobySynth {
       planRet(i) = if (u(51, rid) < RoundTripP) o else dLoc
     }
 
+    // midnight (epoch seconds), in the session time zone, of each day from
+    // 2020-01-06: where Spark's date-to-timestamp cast puts it
+    val zone = DateTimeUtils.getZoneId(spark.conf.get("spark.sql.session.timeZone"))
+    val midnight = Array.tabulate(NWeeks * 7)(d =>
+      LocalDate.of(2020, 1, 6).plusDays(d.toLong).atStartOfDay(zone).toEpochSecond)
+    def at(epochSecond: Long) = new Timestamp(epochSecond * 1000L)
+
     // reciprocity: half the free rentals replay the previous rental's
     // planned trip in reverse (commute out in the morning, back in the
     // evening). The paper's graph has directed ≈ 2 x undirected edges —
@@ -384,21 +393,11 @@ object MobySynth {
       val ret = if (mirror) planO(i - 1) else planRet(i)
       val dow = dayCdf(locArchetype(o.toInt)).draw(u(53, rid))
       val hour = hourCdf(locHarch(o.toInt)).draw(u(55, rid))
-      val week = math.floor(u(57, rid) * NWeeks).toLong
-      Row(rid, (math.floor(u(63, rid) * 95).toLong + 1).toInt, (week * 7 + dow).toInt,
-          hour * 3600L + math.floor(u(59, rid) * 60).toLong * 60L,
-          300L + math.floor(u(61, rid) * 35).toLong * 60L, o, ret)
+      val week = math.floor(u(57, rid) * NWeeks).toInt
+      val start = midnight(week * 7 + dow) + hour * 3600L + math.floor(u(59, rid) * 60).toLong * 60L
+      val dur = 300L + math.floor(u(61, rid) * 35).toLong * 60L
+      Row(rid, (math.floor(u(63, rid) * 95).toLong + 1).toInt, at(start), at(start + dur), o, ret)
     }
-    // a trip starts `secs` after midnight, in the session time zone, of
-    // the day `day` days after 2020-01-06, and lasts `dur` seconds
-    val midnight = unix_timestamp(
-      date_add(lit("2020-01-06").cast(DateType), $"day").cast(TimestampType))
-    val goodRentals = table(goodRentalRows, "rental_id BIGINT NOT NULL, bike_id INT, day INT, " +
-        "secs BIGINT, dur BIGINT, rental_location_id BIGINT, return_location_id BIGINT")
-      .select($"rental_id", $"bike_id",
-              timestamp_seconds(midnight + $"secs") as "start_ts",
-              timestamp_seconds(midnight + $"secs" + $"dur") as "end_ts",
-              $"rental_location_id", $"return_location_id")
 
     val badRentals = {
       val t0 = Timestamp.valueOf("2020-06-01 10:00:00")
@@ -429,20 +428,17 @@ object MobySynth {
         if (k % 2 == 0) Row(rid, (k % 95 + 1).toInt, ts(rid), ts2(rid), ghost, goodLoc(rid, 5))
         else Row(rid, (k % 95 + 1).toInt, ts(rid), ts2(rid), goodLoc(rid, 6), ghost)
       }
-      table(outside ++ sea ++ noCoord ++ missing ++ dangling, "rental_id BIGINT NOT NULL, " +
-        "bike_id INT, start_ts TIMESTAMP, end_ts TIMESTAMP, rental_location_id BIGINT, return_location_id BIGINT")
+      outside ++ sea ++ noCoord ++ missing ++ dangling
     }
+    val rentals = table(goodRentalRows ++ badRentals,
+      idField("rental_id"), StructField("bike_id", IntegerType),
+      StructField("start_ts", TimestampType), StructField("end_ts", TimestampType),
+      StructField("rental_location_id", LongType), StructField("return_location_id", LongType))
 
-    val locationMeta = table(meta.toSeq, "location_id BIGINT NOT NULL, cls STRING NOT NULL, " +
-      "anchor_idx BIGINT NOT NULL, region STRING, block STRING, archetype STRING")
+    val locationMeta = table(meta.toSeq, idField("location_id"), StructField("cls", StringType, nullable = false),
+      idField("anchor_idx"), StructField("region", StringType), StructField("block", StringType),
+      StructField("archetype", StringType))
 
-    // Eager localCheckpoint evaluates each table once, here: the rentals'
-    // timestamps take this call's session time zone, and downstream plans
-    // start from the checkpointed partitions instead of re-shipping the
-    // driver's rows with every job. locationMeta is test ground truth with
-    // no zone-dependent column, so it stays a local relation.
-    MobyData(stations.localCheckpoint(true), locations.localCheckpoint(true),
-             goodRentals.unionByName(badRentals).localCheckpoint(true),
-             locationMeta)
+    MobyData(stations, locations, rentals, locationMeta)
   }
 }

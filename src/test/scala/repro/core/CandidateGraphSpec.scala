@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.data.{Cleaning, MobySynth}
+import repro.data.MobySynth
 import repro.geo.Haversine
 
 /** Tests for candidate-graph construction (paper §IV-A, Table II). */
@@ -61,8 +61,8 @@ class CandidateGraphSpec extends SparkSpec {
   test("the candidate graph does not depend on row order or partitioning") {
     import spark.implicits._
     def shuffled(df: DataFrame) = df.repartition(7).orderBy(rand(3))
-    val other = CandidateGraph.build(spark, Cleaning.CleanData(
-      shuffled(cleaned.stations), shuffled(cleaned.locations), shuffled(cleaned.rentals)))
+    val other = CandidateGraph.build(spark, cleaned.copy(stations = shuffled(cleaned.stations),
+      locations = shuffled(cleaned.locations), rentals = shuffled(cleaned.rentals)))
     assert(other.nodeTable.sortBy(_.id) === cand.nodeTable.sortBy(_.id))
     assert(other.edgeTrips === cand.edgeTrips)
     def assigned(r: CandidateGraph.Result) =

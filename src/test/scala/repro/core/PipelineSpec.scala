@@ -96,6 +96,16 @@ class PipelineSpec extends SparkSpec {
     }
   }
 
+  test("the AllTables unit starts at most 2 Spark jobs: the cleaning aggregate") {
+    val jobs = jobsStarted {
+      val r = Pipeline.run(spark, cfg)
+      assert(r.candidate.stats.nTrips > 0 && r.selected.stats.totalTrips > 0)
+      for (g <- Seq(TemporalGraphs.TNull, TemporalGraphs.TDay, TemporalGraphs.THour))
+        Pipeline.communities(spark, r.selected, g)
+    }
+    assert(jobs <= 2, s"the unit started $jobs jobs")
+  }
+
   test("pipeline is deterministic end to end") {
     val res2 = Pipeline.run(spark, cfg)
     assert(res2.selection.selected.map(_.nodeId) === res.selection.selected.map(_.nodeId))

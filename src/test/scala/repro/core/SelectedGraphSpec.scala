@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.functions.{expr, hour}
 import repro.{Oracle, SparkSpec}
+import repro.data.Cleaning
 import repro.geo.Haversine
 
 /** Tests for the selected graph (paper §V-B, Table III). */
@@ -34,7 +35,9 @@ class SelectedGraphSpec extends SparkSpec {
     // Europe/Dublin moves hours (and days near midnight) against UTC
     try for (tz <- Seq("UTC", "Europe/Dublin")) {
       spark.conf.set(zoneKey, tz)
-      val c = cand.copy() // a fresh lazy aggregate, read under this zone
+      // the counts are collected when the rentals are cleaned, so clean
+      // and build afresh under this zone
+      val c = CandidateGraph.build(spark, Cleaning.clean(repro.TestFixtures.data))
       val explicit = c.trips
         .groupBy($"src_node", $"dst_node", expr("weekday(start_ts)") as "day", hour($"start_ts") as "hour")
         .count().as[(Long, Long, Int, Int, Long)].collect()

@@ -101,7 +101,7 @@ class StationSelectionSpec extends SparkSpec {
              trips(5, 102L, 102L, 200) ++ trips(8, 103L, 103L, 300))
       .toDF("rental_id", "src_node", "dst_node", "start_ts")
     val res = StationSelection.select(spark,
-      CandidateGraph.Result(nodes, spark.emptyDataFrame, t), minDistM = 250.0)
+      CandidateGraph.Result(nodes, spark.emptyDataFrame, t, TemporalGraphs.counts(t)), minDistM = 250.0)
     // 101 and 102 are 100 m apart; 102 and 103 100 m; 101 and 103 200 m.
     // highest degree 101 survives; 102 and 103 both conflict with it.
     val selectedIds = res.selected.map(_.nodeId).toSet
@@ -121,7 +121,7 @@ class StationSelectionSpec extends SparkSpec {
     val t = (trips(5, 0L, 0) ++ trips(7, 101L, 100) ++ trips(2, 102L, 200))
       .toDF("rental_id", "src_node", "dst_node", "start_ts")
     val res = StationSelection.select(spark,
-      CandidateGraph.Result(nodes, spark.emptyDataFrame, t), minDistM = 250.0)
+      CandidateGraph.Result(nodes, spark.emptyDataFrame, t, TemporalGraphs.counts(t)), minDistM = 250.0)
     // threshold = station degree = 10 (5 round trips); 101 has 14, 102 has 4
     assert(res.degreeThreshold === 10L)
     assert(res.selected.map(_.nodeId) === Seq(101L))
@@ -141,7 +141,7 @@ class StationSelectionSpec extends SparkSpec {
     val t = (trips(1, 0L, 0) ++ trips(50, 101L, 100) ++ trips(50, 102L, 1000))
       .toDF("rental_id", "src_node", "dst_node", "start_ts")
     val res = StationSelection.select(spark,
-      CandidateGraph.Result(nodes, spark.emptyDataFrame, t), minDistM = 250.0)
+      CandidateGraph.Result(nodes, spark.emptyDataFrame, t, TemporalGraphs.counts(t)), minDistM = 250.0)
     assert(res.selected.map(_.nodeId) === Seq(102L))
   }
 }

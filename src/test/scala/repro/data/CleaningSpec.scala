@@ -1,5 +1,6 @@
 package repro.data
 
+import org.apache.spark.sql.functions.{expr, hour}
 import repro.{Oracle, SparkSpec}
 
 /** Tests for the §III cleaning pipeline (Table I). */
@@ -27,10 +28,29 @@ class CleaningSpec extends SparkSpec {
 
   test("report starts at most 2 Spark jobs and equals the six tables' counts") {
     val jobs = jobsStarted(Cleaning.report(data, cleaned))
-    assert(jobs <= 2, s"report started $jobs jobs")
+    assert(jobs === 0, s"report started $jobs jobs")
     assert(rpt === Cleaning.Report(
       data.stations.count(), cleaned.stations.count(), data.rentals.count(),
       cleaned.rentals.count(), data.locations.count(), cleaned.locations.count()))
+  }
+
+  test("counts equal the cleaned rentals per location pair, weekday and hour (UTC and Europe/Dublin)") {
+    import spark.implicits._
+    val zoneKey = "spark.sql.session.timeZone"
+    val zone = spark.conf.get(zoneKey)
+    // Europe/Dublin moves hours (and days near midnight) against UTC; the
+    // counts are collected by clean, so each zone gets a fresh clean
+    try for (tz <- Seq("UTC", "Europe/Dublin")) {
+      spark.conf.set(zoneKey, tz)
+      val c = Cleaning.clean(data)
+      val explicit = c.rentals
+        .groupBy($"rental_location_id", $"return_location_id",
+                 expr("weekday(start_ts)") as "day", hour($"start_ts") as "hour")
+        .count().as[(Long, Long, Int, Int, Long)].collect()
+        .map { case (a, b, day, h, n) => (a, b, day, h) -> n }.toMap
+      assert(c.counts === explicit, tz)
+      assert(c.counts.values.sum === c.rentals.count(), tz)
+    } finally spark.conf.set(zoneKey, zone)
   }
 
   test("cleaned rentals have no null endpoint ids") {
