@@ -1,6 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
+import repro.core.TemporalGraphs.{TDay, THour, TNull}
 import repro.report.PaperTables
 
 /** Table I bench: dataset overview, original vs cleaned.
@@ -72,8 +73,7 @@ class Table3Bench extends SparkSpec {
 class Table4Bench extends SparkSpec {
   test("Table IV — G_Basic communities (paper vs measured)") {
     val s = BenchFixtures.basic.summary
-    println(PaperTables.tableCommunity("TABLE IV — G_Basic",
-      PaperTables.PaperBasic, PaperTables.PaperBasicRows, s))
+    println(PaperTables.community(TNull, s))
     assert(s.nCommunities >= 2 && s.nCommunities <= 8,
       s"${s.nCommunities} communities vs paper 3")
     assert(s.modularity > 0.1 && s.modularity < 0.6,
@@ -92,8 +92,7 @@ class Table5Bench extends SparkSpec {
   test("Table V — G_Day communities (paper vs measured)") {
     val s = BenchFixtures.day.summary
     val b = BenchFixtures.basic.summary
-    println(PaperTables.tableCommunity("TABLE V — G_Day",
-      PaperTables.PaperDay, PaperTables.PaperDayRows, s))
+    println(PaperTables.community(TDay, s))
     assert(s.nCommunities >= b.nCommunities,
       s"day ${s.nCommunities} < basic ${b.nCommunities}")
     assert(s.modularity > b.modularity - 0.02,
@@ -110,8 +109,7 @@ class Table6Bench extends SparkSpec {
     val s = BenchFixtures.hourly.summary
     val b = BenchFixtures.basic.summary
     val d = BenchFixtures.day.summary
-    println(PaperTables.tableCommunity("TABLE VI — G_Hour",
-      PaperTables.PaperHour, PaperTables.PaperHourRows, s))
+    println(PaperTables.community(THour, s))
     assert(s.nCommunities >= b.nCommunities,
       s"hour ${s.nCommunities} < basic ${b.nCommunities}")
     assert(s.modularity > b.modularity,

@@ -1,6 +1,7 @@
 package repro.jobs
 
-import repro.core.{Pipeline, TemporalGraphs}
+import repro.core.Pipeline
+import repro.core.TemporalGraphs.{TDay, THour, TNull}
 import repro.report.PaperTables
 
 /** spark-submit entrypoints, one per paper table.
@@ -34,9 +35,7 @@ object TableIII {
 object TableIV {
   def main(args: Array[String]): Unit =
     JobUtil.run("moby-table-4", args) { (spark, res) =>
-      val c = Pipeline.communities(spark, res.selected, TemporalGraphs.TNull)
-      println(PaperTables.tableCommunity("TABLE IV — G_Basic",
-        PaperTables.PaperBasic, PaperTables.PaperBasicRows, c.summary))
+      println(PaperTables.community(TNull, Pipeline.communities(spark, res.selected, TNull).summary))
     }
 }
 
@@ -44,9 +43,7 @@ object TableIV {
 object TableV {
   def main(args: Array[String]): Unit =
     JobUtil.run("moby-table-5", args) { (spark, res) =>
-      val c = Pipeline.communities(spark, res.selected, TemporalGraphs.TDay)
-      println(PaperTables.tableCommunity("TABLE V — G_Day",
-        PaperTables.PaperDay, PaperTables.PaperDayRows, c.summary))
+      println(PaperTables.community(TDay, Pipeline.communities(spark, res.selected, TDay).summary))
     }
 }
 
@@ -54,9 +51,7 @@ object TableV {
 object TableVI {
   def main(args: Array[String]): Unit =
     JobUtil.run("moby-table-6", args) { (spark, res) =>
-      val c = Pipeline.communities(spark, res.selected, TemporalGraphs.THour)
-      println(PaperTables.tableCommunity("TABLE VI — G_Hour",
-        PaperTables.PaperHour, PaperTables.PaperHourRows, c.summary))
+      println(PaperTables.community(THour, Pipeline.communities(spark, res.selected, THour).summary))
     }
 }
 
@@ -66,15 +61,10 @@ object AllTables {
     JobUtil.run("moby-all-tables", args) { (spark, res) =>
       println(PaperTables.tableI(res.report)); println()
       println(PaperTables.tableII(res.candidate.stats)); println()
-      println(PaperTables.tableIII(res.selected.stats)); println()
-      val b = Pipeline.communities(spark, res.selected, TemporalGraphs.TNull)
-      println(PaperTables.tableCommunity("TABLE IV — G_Basic",
-        PaperTables.PaperBasic, PaperTables.PaperBasicRows, b.summary)); println()
-      val d = Pipeline.communities(spark, res.selected, TemporalGraphs.TDay)
-      println(PaperTables.tableCommunity("TABLE V — G_Day",
-        PaperTables.PaperDay, PaperTables.PaperDayRows, d.summary)); println()
-      val h = Pipeline.communities(spark, res.selected, TemporalGraphs.THour)
-      println(PaperTables.tableCommunity("TABLE VI — G_Hour",
-        PaperTables.PaperHour, PaperTables.PaperHourRows, h.summary))
+      println(PaperTables.tableIII(res.selected.stats))
+      for (g <- Seq(TNull, TDay, THour)) {
+        println()
+        println(PaperTables.community(g, Pipeline.communities(spark, res.selected, g).summary))
+      }
     }
 }

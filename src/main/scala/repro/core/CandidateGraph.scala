@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.col
 import repro.cluster.{HAC, SpatialGrid}
 import repro.data.Cleaning.CleanData
 import repro.geo.Haversine
@@ -28,34 +27,31 @@ object CandidateGraph {
   /** A row of the node table. */
   final case class Node(id: Long, lat: Double, lon: Double, isStation: Boolean)
 
-  /** @param nodes      node_id, lat, lon, is_station
-    * @param assignment location_id, node_id, station_dist_m
-    * @param trips      rental_id, src_node, dst_node, start_ts: a lazy view,
-    *                   the cleaned rentals joined onto `assignment`
-    * @param counts     (src_node, dst_node, day, hour) → trips: Table II, the
-    *                   degrees of Algorithm 1 and the selected graph read it
-    *                   in plain Scala. Day and hour are those of the cleaned
-    *                   counts, taken in the session time zone when
-    *                   `Cleaning.clean` ran.
+  /** @param nodes   the fixed stations, in id order, then the candidates
+    * @param nodeOf  location_id → node_id of every cleaned location
+    * @param counts  (src_node, dst_node, day, hour) → trips: Table II, the
+    *                degrees of Algorithm 1 and the selected graph read it
+    *                in plain Scala. Day and hour are those of the cleaned
+    *                counts, taken in the session time zone when
+    *                `Cleaning.clean` ran.
+    * @param rentals the cleaned rentals, which [[trips]] relabels
     */
-  final case class Result(nodes: DataFrame, assignment: DataFrame, trips: DataFrame,
-                          counts: Map[(Long, Long, Int, Int), Long]) {
+  final case class Result(nodes: Seq[Node], nodeOf: Map[Long, Long],
+                          counts: Map[(Long, Long, Int, Int), Long], rentals: DataFrame) {
 
     /** (src_node, dst_node) → trips. */
     lazy val edgeTrips: Map[(Long, Long), Long] = TemporalGraphs.pairCounts(counts)
 
-    /** The node table, collected once (~1 k nodes at sf=1). */
-    lazy val nodeTable: Seq[Node] =
-      nodes.select(col("node_id"), col("lat"), col("lon"), col("is_station")).collect()
-        .map(r => Node(r.getLong(0), r.getDouble(1), r.getDouble(2), r.getBoolean(3))).toSeq
+    /** rental_id, src_node, dst_node, start_ts: a lazy view. */
+    lazy val trips: DataFrame = TemporalGraphs.trips(rentals, nodeOf)
 
     /** Table II, counted in plain Scala. */
     def stats: Stats = {
       val undirected = edgeTrips.keys.map { case (s, d) => (math.min(s, d), math.max(s, d)) }.toSet
-      val nStation = nodeTable.count(_.isStation).toLong
+      val nStation = nodes.count(_.isStation).toLong
       Stats(
-        nNodes = nodeTable.size.toLong, nStationNodes = nStation,
-        nCandidateNodes = nodeTable.size - nStation,
+        nNodes = nodes.size.toLong, nStationNodes = nStation,
+        nCandidateNodes = nodes.size - nStation,
         undirectedEdges = undirected.size.toLong,
         undirectedEdgesNoLoops = undirected.count { case (a, b) => a != b }.toLong,
         directedEdges = edgeTrips.size.toLong,
@@ -89,11 +85,9 @@ object CandidateGraph {
     * location → node. Starts no Spark job when the cleaned tables are local
     * relations.
     */
-  def build(spark: SparkSession, data: CleanData,
-            preAssignM: Double = 50.0, hacCutM: Double = 100.0,
+  def build(@scala.annotation.unused("perfbench/Harness.scala passes it") spark: SparkSession,
+            data: CleanData, preAssignM: Double = 50.0, hacCutM: Double = 100.0,
             centroidSepM: Double = 50.0): Result = {
-    import spark.implicits._
-
     val stations = SpatialGrid.collectSorted(data.stations, "station_id")
     val locs = SpatialGrid.collectSorted(data.locations, "location_id")
     val near = nearest(locs, stations)
@@ -102,26 +96,11 @@ object CandidateGraph {
     val (pre, rest) = locs.indices.partition(k => near(k)._1 <= preAssignM)
     val (ids, lats, lons) = rest.map(locs(_)).toArray.unzip3
     val (clusterOf, clusters) = HAC.local(ids, lats, lons, hacCutM, centroidSepM)
-    val nodeOf = pre.map(near(_)._2) ++ clusterOf.map(_ + CandidateOffset)
-    val assigned = (pre ++ rest).zip(nodeOf)
-    val assignment = assigned.map { case (k, node) => (locs(k)._1, node, near(k)._1) }
-      .toDF("location_id", "node_id", "station_dist_m")
-    val node = assigned.map { case (k, n) => locs(k)._1 -> n }.toMap
-    val counts = data.counts.toSeq.groupMapReduce { case ((l, r, day, hour), _) =>
-      (node(l), node(r), day, hour)
-    }(_._2)(_ + _)
+    val nodeOf = (pre.map(k => locs(k)._1 -> near(k)._2) ++
+      ids.zip(clusterOf.map(_ + CandidateOffset))).toMap
+    val nodes = stations.toSeq.map { case (s, la, lo) => Node(s, la, lo, isStation = true) } ++
+      clusters.map(c => Node(c.id + CandidateOffset, c.lat, c.lon, isStation = false))
 
-    val nodes = (stations.toSeq.map { case (s, la, lo) => (s, la, lo, true) } ++
-      clusters.map(c => (c.id + CandidateOffset, c.lat, c.lon, false)))
-      .toDF("node_id", "lat", "lon", "is_station")
-
-    val srcMap = assignment.select($"location_id" as "rental_location_id", $"node_id" as "src_node")
-    val dstMap = assignment.select($"location_id" as "return_location_id", $"node_id" as "dst_node")
-    val trips = data.rentals
-      .join(srcMap, "rental_location_id")
-      .join(dstMap, "return_location_id")
-      .select($"rental_id", $"src_node", $"dst_node", $"start_ts")
-
-    Result(nodes, assignment, trips, counts)
+    Result(nodes, nodeOf, TemporalGraphs.relabel(data.counts, nodeOf), data.rentals)
   }
 }

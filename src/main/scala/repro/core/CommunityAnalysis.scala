@@ -32,8 +32,9 @@ object CommunityAnalysis {
     * Community ids are renumbered 1..K by descending total station count
     * then ascending min node id, mirroring the paper's table layout.
     */
-  def summarize(spark: SparkSession, selected: SelectedGraph.Result,
-                community: Map[Long, Long], modularity: Double): Summary = {
+  def summarize(@scala.annotation.unused("perfbench/Harness.scala passes it") spark: SparkSession,
+                selected: SelectedGraph.Result, community: Map[Long, Long],
+                modularity: Double): Summary = {
     val tripNodes = selected.edgeTrips.keysIterator.flatMap { case (s, d) => Iterator(s, d) }
     for (n <- selected.isNew.keysIterator ++ tripNodes)
       require(community.contains(n), s"node $n of the selected graph has no community")

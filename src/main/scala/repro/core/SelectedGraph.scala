@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.geo.Haversine
 
 /** The selected graph (paper §V-B, Table III): pre-existing stations plus
@@ -17,26 +16,29 @@ object SelectedGraph {
   final case class Stats(preExisting: GroupStats, selected: GroupStats,
                          totalStations: Long, totalTrips: Long, totalEdges: Long)
 
-  /** @param nodes  node_id, lat, lon, is_station (pre-existing), is_new
-    * @param trips  rental_id, src_node, dst_node, start_ts (redirected): a lazy
-    *               view over the candidate graph's trips
-    * @param counts (src_node, dst_node, day, hour) → trips of `trips`: the
-    *               selected graph has a few hundred nodes, so every
-    *               post-selection table and all three temporal graphs are
-    *               plain Scala projections of it
+  /** @param finals  the pre-existing stations (`isStation`) and the selected candidates
+    * @param nodeOf  location_id → final node_id: the candidate `nodeOf`, then the redirection
+    * @param counts  (src_node, dst_node, day, hour) → redirected trips; every
+    *                post-selection table and all three temporal graphs are
+    *                plain Scala projections of it
+    * @param rentals the cleaned rentals, which [[trips]] relabels
     */
-  final case class Result(nodes: DataFrame, trips: DataFrame,
-                          counts: Map[(Long, Long, Int, Int), Long]) {
+  final case class Result(finals: Seq[CandidateGraph.Node], nodeOf: Map[Long, Long],
+                          counts: Map[(Long, Long, Int, Int), Long], rentals: DataFrame) {
 
     /** (src_node, dst_node) → trips. */
     lazy val edgeTrips: Map[(Long, Long), Long] = TemporalGraphs.pairCounts(counts)
 
-    /** node_id → is_new (selected by Algorithm 1 rather than pre-existing).
-      * `nodes` is a local relation, so collecting it starts no Spark job.
-      */
-    lazy val isNew: Map[Long, Boolean] =
-      nodes.select(col("node_id"), col("is_new")).collect()
-        .map(r => r.getLong(0) -> r.getBoolean(1)).toMap
+    /** node_id → is_new (selected by Algorithm 1 rather than pre-existing). */
+    lazy val isNew: Map[Long, Boolean] = finals.map(n => n.id -> !n.isStation).toMap
+
+    /** node_id, lat, lon, is_station, is_new: `finals` as a local relation. */
+    lazy val nodes: DataFrame = rentals.sparkSession
+      .createDataFrame(finals.map(n => (n.id, n.lat, n.lon, n.isStation, !n.isStation)))
+      .toDF("node_id", "lat", "lon", "is_station", "is_new")
+
+    /** rental_id, src_node, dst_node, start_ts (redirected): a lazy view. */
+    lazy val trips: DataFrame = TemporalGraphs.trips(rentals, nodeOf)
 
     def stats: Stats = {
       def grp(newFlag: Boolean): GroupStats = {
@@ -55,33 +57,19 @@ object SelectedGraph {
     * Redirection relabels nodes, so `counts` is the candidate graph's
     * counts relabelled and summed on the driver.
     */
-  def build(spark: SparkSession, candidate: CandidateGraph.Result,
-            selection: StationSelection.Result): Result = {
-    import spark.implicits._
-
+  def build(@scala.annotation.unused("perfbench/Harness.scala passes it") spark: SparkSession,
+            candidate: CandidateGraph.Result, selection: StationSelection.Result): Result = {
     val selectedIds = selection.selected.map(_.nodeId).toSet
-    val finals = candidate.nodeTable.filter(n => n.isStation || selectedIds(n.id))
-    val finalNodes = finals.map(n => (n.id, n.lat, n.lon, n.isStation, !n.isStation))
-      .toDF("node_id", "lat", "lon", "is_station", "is_new")
+    val finals = candidate.nodes.filter(n => n.isStation || selectedIds(n.id))
 
     // nearest final station for every rejected candidate node (driver-side:
     // ~1k rejected × ~240 stations)
     val finalPoints = finals.map(n => (n.id, n.lat, n.lon))
     val remap: Map[Long, Long] = selection.candidates.filterNot(_.selected)
       .map(r => r.nodeId -> Haversine.nearest(r.lat, r.lon, finalPoints)._2).toMap
-
     val node = (n: Long) => remap.getOrElse(n, n)
-    val counts = candidate.counts.toSeq.groupMapReduce { case ((s, d, day, hour), _) =>
-      (node(s), node(d), day, hour)
-    }(_._2)(_ + _)
 
-    // a map literal lookup is null for a node that keeps its label
-    val lookup = typedLit(remap)
-    val trips = candidate.trips.select($"rental_id",
-      coalesce(lookup($"src_node"), $"src_node") as "src_node",
-      coalesce(lookup($"dst_node"), $"dst_node") as "dst_node",
-      $"start_ts")
-
-    Result(finalNodes, trips, counts)
+    Result(finals, candidate.nodeOf.map { case (l, n) => l -> node(n) },
+           TemporalGraphs.relabel(candidate.counts, node), candidate.rentals)
   }
 }

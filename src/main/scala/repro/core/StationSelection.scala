@@ -16,8 +16,8 @@ import repro.geo.Haversine
   *     `minDistM` of each other, the lower-degree one is zeroed;
   *   - survivors, ranked by score descending, become new stations.
   *
-  * Everything runs on the driver over the candidate graph's collected
-  * edge counts and node table (≈1k nodes at sf=1); no Spark job starts.
+  * Everything runs on the driver over the candidate graph's edge counts
+  * and nodes (≈1k nodes at sf=1); no Spark job starts.
   */
 object StationSelection {
 
@@ -34,16 +34,16 @@ object StationSelection {
       .flatMap { case ((s, d), n) => Seq(s -> n, d -> n) }
       .groupMapReduce(_._1)(_._2)(_ + _)
 
-  def select(spark: SparkSession, candidate: CandidateGraph.Result,
-             minDistM: Double = 250.0): Result = {
+  def select(@scala.annotation.unused("perfbench/Harness.scala passes it") spark: SparkSession,
+             candidate: CandidateGraph.Result, minDistM: Double = 250.0): Result = {
     val deg = degrees(candidate.edgeTrips).withDefaultValue(0L)
-    val stations = candidate.nodeTable.filter(_.isStation)
+    val stations = candidate.nodes.filter(_.isStation)
     require(stations.nonEmpty, "no fixed stations")
     val threshold = stations.map(s => deg(s.id)).min
     val stationPoints = stations.map(s => (s.id, s.lat, s.lon))
 
     final case class C(id: Long, lat: Double, lon: Double, deg: Long, var score: Long)
-    val cands = candidate.nodeTable.filterNot(_.isStation).sortBy(_.id)
+    val cands = candidate.nodes.filterNot(_.isStation).sortBy(_.id)
       .map(n => C(n.id, n.lat, n.lon, deg(n.id), deg(n.id)))
 
     // Rules 3 and 4

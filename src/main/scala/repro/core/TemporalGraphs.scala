@@ -48,7 +48,7 @@ object TemporalGraphs {
     * one Spark aggregate over `trips`; day and hour are [[sliceCol]]s,
     * computed in Spark under the session time zone. The pipeline's own
     * counts come from `Cleaning.clean`'s aggregate of the same slices,
-    * relabelled location → node by the candidate graph and node → final
+    * [[relabel]]led location → node by the candidate graph and node → final
     * node by the selected graph; this one serves [[edges]] and the tests.
     */
   def counts(trips: DataFrame): Map[(Long, Long, Int, Int), Long] =
@@ -56,6 +56,22 @@ object TemporalGraphs {
                   sliceCol(TDay, col("start_ts")) as "day", sliceCol(THour, col("start_ts")) as "hour")
       .count().collect()
       .map(r => (r.getLong(0), r.getLong(1), r.getInt(2), r.getInt(3)) -> r.getLong(4)).toMap
+
+  /** `counts` with both endpoints relabelled by `f`, summing keys that meet. */
+  def relabel(counts: Map[(Long, Long, Int, Int), Long],
+              f: Long => Long): Map[(Long, Long, Int, Int), Long] =
+    counts.toSeq.groupMapReduce { case ((s, d, day, hour), _) => (f(s), f(d), day, hour) }(_._2)(_ + _)
+
+  /** rental_id, src_node, dst_node, start_ts: a lazy view of `rentals`
+    * with both location ids looked up in `nodeOf` by a Scala UDF, a hash
+    * lookup per row. A missing location reads null, because the optimizer
+    * may push a caller's filter below the view's, onto rows it drops.
+    */
+  def trips(rentals: DataFrame, nodeOf: Map[Long, Long]): DataFrame = {
+    val node = udf((location: Long) => nodeOf.get(location))
+    rentals.select(col("rental_id"), node(col("rental_location_id")) as "src_node",
+                   node(col("return_location_id")) as "dst_node", col("start_ts"))
+  }
 
   /** Trips per directed node pair: (src, dst) → n. */
   def pairCounts(counts: Map[(Long, Long, Int, Int), Long]): Map[(Long, Long), Long] =

@@ -1,6 +1,7 @@
 package repro.report
 
-import repro.core.{CandidateGraph, CommunityAnalysis, SelectedGraph}
+import repro.core.{CandidateGraph, CommunityAnalysis, SelectedGraph, TemporalGraphs}
+import repro.core.TemporalGraphs.{TDay, THour, TNull}
 import repro.data.Cleaning
 
 /** Rendering of the paper's evaluation tables (I–VI) with the published
@@ -112,5 +113,12 @@ object PaperTables {
               p._3 + p._4 + p._5), w)
     }
     (header ++ Seq("measured:") ++ ours ++ Seq("paper:") ++ ref).mkString("\n")
+  }
+
+  /** Table IV, V or VI: the community table of a granularity. */
+  def community(g: TemporalGraphs.Granularity, s: CommunityAnalysis.Summary): String = g match {
+    case TNull => tableCommunity("TABLE IV — G_Basic", PaperBasic, PaperBasicRows, s)
+    case TDay => tableCommunity("TABLE V — G_Day", PaperDay, PaperDayRows, s)
+    case THour => tableCommunity("TABLE VI — G_Hour", PaperHour, PaperHourRows, s)
   }
 }

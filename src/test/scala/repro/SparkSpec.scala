@@ -10,9 +10,9 @@ import org.scalatest.funsuite.AnyFunSuite
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so every join (cleaning's
-  * semi-joins, the trip mapping, the redirection) runs as a shuffled
-  * sort-merge join. With broadcasting on, a join's plan follows the
+  * limit). Broadcast joins are disabled so every join (the semi-joins of
+  * the cleaned rentals view, and the tests' own anti-joins and oracle
+  * inputs) runs as a shuffled sort-merge join. With broadcasting on, a join's plan follows the
   * estimated and, under adaptive execution, measured sizes of its sides,
   * and at test scale nearly every side would broadcast: the tests would
   * check only that plan, never the sort-merge one larger inputs get.

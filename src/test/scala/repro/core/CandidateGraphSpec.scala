@@ -16,22 +16,26 @@ class CandidateGraphSpec extends SparkSpec {
 
   test("every cleaned location is assigned to exactly one node") {
     import spark.implicits._
-    assert(cand.assignment.count() === cleaned.locations.count())
-    assert(cand.assignment.select($"location_id").distinct().count() === cleaned.locations.count())
+    val locIds = cleaned.locations.select($"location_id").as[Long].collect()
+    assert(cand.nodeOf.size === cleaned.locations.count())
+    assert(cand.nodeOf.keySet === locIds.toSet)
   }
 
   test("locations within 50 m of a station are pre-assigned to it") {
     import spark.implicits._
     val near = CandidateGraph.nearestStation(cleaned.locations, cleaned.stations)
-    val joined = cand.assignment.select($"location_id", $"node_id").join(near, "location_id")
+      .as[(Long, Long, Double)].collect().map(t => t._1 -> (t._2, t._3)).toMap
     // every pre-assigned node (node_id < offset) must be the nearest
     // station and within 50 m
-    val pre = joined.filter($"node_id" < CandidateGraph.CandidateOffset)
-    assert(pre.filter($"node_id" =!= $"nearest_station").count() === 0L)
-    assert(pre.filter($"station_dist_m" > 50.0).count() === 0L)
+    val (pre, clustered) = cand.nodeOf.partition(_._2 < CandidateGraph.CandidateOffset)
+    assert(pre.count { case (l, n) => near(l)._1 != n } === 0)
+    assert(pre.count { case (l, _) => near(l)._2 > 50.0 } === 0)
     // and every clustered location is > 50 m from all stations
-    val clustered = joined.filter($"node_id" >= CandidateGraph.CandidateOffset)
-    assert(clustered.filter($"station_dist_m" <= 50.0).count() === 0L)
+    assert(clustered.count { case (l, _) => near(l)._2 <= 50.0 } === 0)
+  }
+
+  test("build starts no Spark job: the cleaned tables are local relations") {
+    assert(jobsStarted(CandidateGraph.build(spark, cleaned)) === 0)
   }
 
   test("nearestStation picks the true argmin (brute-force check)") {
@@ -59,23 +63,18 @@ class CandidateGraphSpec extends SparkSpec {
   }
 
   test("the candidate graph does not depend on row order or partitioning") {
-    import spark.implicits._
     def shuffled(df: DataFrame) = df.repartition(7).orderBy(rand(3))
     val other = CandidateGraph.build(spark, cleaned.copy(stations = shuffled(cleaned.stations),
       locations = shuffled(cleaned.locations), rentals = shuffled(cleaned.rentals)))
-    assert(other.nodeTable.sortBy(_.id) === cand.nodeTable.sortBy(_.id))
+    assert(other.nodes.sortBy(_.id) === cand.nodes.sortBy(_.id))
     assert(other.edgeTrips === cand.edgeTrips)
-    def assigned(r: CandidateGraph.Result) =
-      r.assignment.select($"location_id", $"node_id").as[(Long, Long)].collect().sorted.toSeq
-    assert(assigned(other) === assigned(cand))
+    assert(other.nodeOf === cand.nodeOf)
   }
 
   test("station nodes carry station coords; candidate nodes carry centroids") {
-    import spark.implicits._
-    val stationNodes = cand.nodes.filter($"is_station")
-    assert(stationNodes.count() === cleaned.stations.count())
-    val candidateNodes = cand.nodes.filter(!$"is_station")
-    assert(candidateNodes.filter($"node_id" < CandidateGraph.CandidateOffset).count() === 0L)
+    assert(cand.nodes.count(_.isStation) === cleaned.stations.count())
+    val candidateNodes = cand.nodes.filterNot(_.isStation)
+    assert(candidateNodes.count(_.id < CandidateGraph.CandidateOffset) === 0)
   }
 
   test("trips preserve the cleaned rental count") {
@@ -100,7 +99,7 @@ class CandidateGraphSpec extends SparkSpec {
 
   test("every trip endpoint maps to an existing node") {
     import spark.implicits._
-    val nodeIds = cand.nodes.select($"node_id")
+    val nodeIds = cand.nodes.map(_.id).toDF("node_id")
     assert(cand.trips.join(nodeIds.withColumnRenamed("node_id", "src_node"),
       Seq("src_node"), "left_anti").count() === 0L)
     assert(cand.trips.join(nodeIds.withColumnRenamed("node_id", "dst_node"),

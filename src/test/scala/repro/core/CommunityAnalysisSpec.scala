@@ -1,30 +1,27 @@
 package repro.core
 
-import java.sql.Timestamp
 import repro.{Oracle, SparkSpec}
 
 /** Tests for the community summary tables (Tables IV-VI shape). */
 class CommunityAnalysisSpec extends SparkSpec {
 
-  private def mkSelected(nodes: Seq[(Long, Double, Double, Boolean, Boolean)],
-                         trips: Seq[(Long, Long, Long)]): SelectedGraph.Result = {
-    import spark.implicits._
-    val t = trips.map { case (id, s, d) => (id, s, d, Timestamp.valueOf("2020-06-01 10:00:00")) }
-      .toDF("rental_id", "src_node", "dst_node", "start_ts")
-    SelectedGraph.Result(nodes.toDF("node_id", "lat", "lon", "is_station", "is_new"), t,
-                         TemporalGraphs.counts(t))
-  }
+  // node_id, lat, lon, is_station (pre-existing), is_new
+  private val toyNodes = Seq(
+    (1L, 53.33, -6.26, true, false), (2L, 53.34, -6.27, true, false),
+    (3L, 53.35, -6.28, false, true), (4L, 53.36, -6.29, false, true),
+    (5L, 53.37, -6.30, true, false))
+  // rental_id, src_node, dst_node
+  private val toyTrips = Seq(
+    (1L, 1L, 2L), (2L, 2L, 1L), (3L, 1L, 1L), // inside community A
+    (4L, 3L, 4L), (5L, 4L, 3L),               // inside community B
+    (6L, 1L, 3L), (7L, 4L, 2L),               // cross-community
+    (8L, 5L, 5L))                             // singleton community C
 
-  private lazy val toy = mkSelected(
-    nodes = Seq(
-      (1L, 53.33, -6.26, true, false), (2L, 53.34, -6.27, true, false),
-      (3L, 53.35, -6.28, false, true), (4L, 53.36, -6.29, false, true),
-      (5L, 53.37, -6.30, true, false)),
-    trips = Seq(
-      (1L, 1L, 2L), (2L, 2L, 1L), (3L, 1L, 1L), // inside community A
-      (4L, 3L, 4L), (5L, 4L, 3L),               // inside community B
-      (6L, 1L, 3L), (7L, 4L, 2L),               // cross-community
-      (8L, 5L, 5L)))                            // singleton community C
+  // every toy trip starts on a Monday at 10:00: day 0, hour 10
+  private lazy val toy = SelectedGraph.Result(
+    toyNodes.map { case (id, lat, lon, isStation, _) => CandidateGraph.Node(id, lat, lon, isStation) },
+    Map.empty, toyTrips.groupMapReduce { case (_, s, d) => (s, d, 0, 10) }(_ => 1L)(_ + _),
+    spark.emptyDataFrame)
 
   private val assign = Map(1L -> 1L, 2L -> 1L, 3L -> 3L, 4L -> 3L, 5L -> 5L)
 
@@ -88,10 +85,11 @@ class CommunityAnalysisSpec extends SparkSpec {
       |  FROM nodes n JOIN comm c ON n.node_id = c.node_id
       |  GROUP BY c.community)""".stripMargin
 
+  // the oracle reads the toy's raw rows, not the graph built from them
   private def oracleTables = {
     import spark.implicits._
-    Seq("nodes" -> toy.nodes.select($"node_id", $"is_new".cast("string") as "is_new"),
-        "trips" -> toy.trips.select($"rental_id", $"src_node", $"dst_node"),
+    Seq("nodes" -> toyNodes.map { case (id, _, _, _, isNew) => (id, isNew.toString) }.toDF("node_id", "is_new"),
+        "trips" -> toyTrips.toDF("rental_id", "src_node", "dst_node"),
         "comm" -> assign.toSeq.toDF("node_id", "community"))
   }
 

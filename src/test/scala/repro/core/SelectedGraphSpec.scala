@@ -49,11 +49,10 @@ class SelectedGraphSpec extends SparkSpec {
   }
 
   test("final node set = stations + selected candidates") {
-    import spark.implicits._
-    val expected = cand.nodes.filter($"is_station").count() + sel.selected.size
+    val expected = cand.nodes.count(_.isStation) + sel.selected.size
     assert(graph.nodes.count() === expected)
     assert(stats.totalStations === expected)
-    assert(stats.preExisting.stations === cand.nodes.filter($"is_station").count())
+    assert(stats.preExisting.stations === cand.nodes.count(_.isStation))
     assert(stats.selected.stations === sel.selected.size.toLong)
   }
 

@@ -9,6 +9,22 @@ class StationSelectionSpec extends SparkSpec {
   private lazy val cand = repro.TestFixtures.candidate
   private lazy val sel = repro.TestFixtures.selection
 
+  /** Algorithm 1 on a toy candidate graph, checking that it starts no
+    * Spark job. Every toy trip is a Monday 10:00 round trip, so its counts
+    * key is (node, node, 0, 10).
+    */
+  private def selectToy(nodes: Seq[CandidateGraph.Node],
+                        roundTrips: Map[Long, Long]): StationSelection.Result = {
+    val counts = roundTrips.map { case (n, trips) => (n, n, 0, 10) -> trips }
+    var res: StationSelection.Result = null
+    val jobs = jobsStarted {
+      res = StationSelection.select(spark,
+        CandidateGraph.Result(nodes, Map.empty, counts, spark.emptyDataFrame), minDistM = 250.0)
+    }
+    assert(jobs === 0)
+    res
+  }
+
   test("degrees: sum of degrees equals 2 x trips") {
     val total = StationSelection.degrees(cand.edgeTrips).values.sum
     assert(total === 2 * cand.trips.count())
@@ -25,15 +41,14 @@ class StationSelectionSpec extends SparkSpec {
   }
 
   test("threshold is the minimum fixed-station degree") {
-    import spark.implicits._
     val deg = StationSelection.degrees(cand.edgeTrips)
-    val stationIds = cand.nodes.filter($"is_station").select($"node_id").as[Long].collect()
+    val stationIds = cand.nodes.filter(_.isStation).map(_.id)
     val expected = stationIds.map(id => deg.getOrElse(id, 0L)).min
     assert(sel.degreeThreshold === expected)
   }
 
   test("select starts no Spark job once the candidate graph is collected") {
-    assert(cand.edgeTrips.nonEmpty && cand.nodeTable.nonEmpty)
+    assert(cand.edgeTrips.nonEmpty && cand.nodes.nonEmpty)
     assert(jobsStarted(StationSelection.select(spark, cand)) === 0)
   }
 
@@ -42,9 +57,7 @@ class StationSelectionSpec extends SparkSpec {
   }
 
   test("rule 4: every selected candidate is > 250 m from every fixed station") {
-    import spark.implicits._
-    val sts = cand.nodes.filter($"is_station")
-      .select($"lat", $"lon").as[(Double, Double)].collect()
+    val sts = cand.nodes.filter(_.isStation).map(s => (s.lat, s.lon))
     sel.selected.foreach { c =>
       val dMin = sts.map(s => Haversine.metres(c.lat, c.lon, s._1, s._2)).min
       assert(dMin > 250.0, s"candidate ${c.nodeId} is ${dMin}m from a station")
@@ -71,9 +84,8 @@ class StationSelectionSpec extends SparkSpec {
   }
 
   test("every candidate node appears exactly once in the result") {
-    import spark.implicits._
-    val candIds = cand.nodes.filter(!$"is_station").select($"node_id").as[Long].collect().sorted
-    assert(sel.candidates.map(_.nodeId).sorted === candIds.toSeq)
+    val candIds = cand.nodes.filterNot(_.isStation).map(_.id).sorted
+    assert(sel.candidates.map(_.nodeId).sorted === candIds)
   }
 
   test("some candidates are selected and some rejected at this sf") {
@@ -84,24 +96,15 @@ class StationSelectionSpec extends SparkSpec {
   test("pairwise pruning keeps the higher-degree member of close pairs") {
     // toy scenario: three candidates in a 200 m line, degrees 10, 5, 8;
     // fixed station far away with degree 1 (threshold=1)
-    import spark.implicits._
     val mLat = Haversine.MetresPerDegLat
     val base = (53.33, -6.26)
     val nodes = Seq(
-      (0L, 53.40, -6.40, true),
-      (101L, base._1, base._2, false),
-      (102L, base._1 + 100 / mLat, base._2, false),
-      (103L, base._1 + 200 / mLat, base._2, false),
-    ).toDF("node_id", "lat", "lon", "is_station")
-    def trips(n: Int, a: Long, b: Long, offset: Int) =
-      (0 until n).map(i => ((offset + i).toLong, a, b,
-        java.sql.Timestamp.valueOf("2020-06-01 10:00:00")))
+      CandidateGraph.Node(0L, 53.40, -6.40, isStation = true),
+      CandidateGraph.Node(101L, base._1, base._2, isStation = false),
+      CandidateGraph.Node(102L, base._1 + 100 / mLat, base._2, isStation = false),
+      CandidateGraph.Node(103L, base._1 + 200 / mLat, base._2, isStation = false))
     // degrees: 101 -> 10, 102 -> 5, 103 -> 8 (as src), station 0 degree 2
-    val t = (trips(1, 0L, 0L, 0) ++ trips(10, 101L, 101L, 100) ++
-             trips(5, 102L, 102L, 200) ++ trips(8, 103L, 103L, 300))
-      .toDF("rental_id", "src_node", "dst_node", "start_ts")
-    val res = StationSelection.select(spark,
-      CandidateGraph.Result(nodes, spark.emptyDataFrame, t, TemporalGraphs.counts(t)), minDistM = 250.0)
+    val res = selectToy(nodes, Map(0L -> 1L, 101L -> 10L, 102L -> 5L, 103L -> 8L))
     // 101 and 102 are 100 m apart; 102 and 103 100 m; 101 and 103 200 m.
     // highest degree 101 survives; 102 and 103 both conflict with it.
     val selectedIds = res.selected.map(_.nodeId).toSet
@@ -109,39 +112,23 @@ class StationSelectionSpec extends SparkSpec {
   }
 
   test("degree threshold rejects low-traffic candidates (toy)") {
-    import spark.implicits._
     val nodes = Seq(
-      (0L, 53.40, -6.40, true),
-      (101L, 53.33, -6.26, false),
-      (102L, 53.30, -6.20, false),
-    ).toDF("node_id", "lat", "lon", "is_station")
-    def trips(n: Int, a: Long, offset: Int) =
-      (0 until n).map(i => ((offset + i).toLong, a, a,
-        java.sql.Timestamp.valueOf("2020-06-01 10:00:00")))
-    val t = (trips(5, 0L, 0) ++ trips(7, 101L, 100) ++ trips(2, 102L, 200))
-      .toDF("rental_id", "src_node", "dst_node", "start_ts")
-    val res = StationSelection.select(spark,
-      CandidateGraph.Result(nodes, spark.emptyDataFrame, t, TemporalGraphs.counts(t)), minDistM = 250.0)
+      CandidateGraph.Node(0L, 53.40, -6.40, isStation = true),
+      CandidateGraph.Node(101L, 53.33, -6.26, isStation = false),
+      CandidateGraph.Node(102L, 53.30, -6.20, isStation = false))
+    val res = selectToy(nodes, Map(0L -> 5L, 101L -> 7L, 102L -> 2L))
     // threshold = station degree = 10 (5 round trips); 101 has 14, 102 has 4
     assert(res.degreeThreshold === 10L)
     assert(res.selected.map(_.nodeId) === Seq(101L))
   }
 
   test("candidates near a station are rejected regardless of degree (toy)") {
-    import spark.implicits._
     val mLat = Haversine.MetresPerDegLat
     val nodes = Seq(
-      (0L, 53.33, -6.26, true),
-      (101L, 53.33 + 200 / mLat, -6.26, false), // 200 m from station
-      (102L, 53.33 + 400 / mLat, -6.26, false), // 400 m away
-    ).toDF("node_id", "lat", "lon", "is_station")
-    def trips(n: Int, a: Long, offset: Int) =
-      (0 until n).map(i => ((offset + i).toLong, a, a,
-        java.sql.Timestamp.valueOf("2020-06-01 10:00:00")))
-    val t = (trips(1, 0L, 0) ++ trips(50, 101L, 100) ++ trips(50, 102L, 1000))
-      .toDF("rental_id", "src_node", "dst_node", "start_ts")
-    val res = StationSelection.select(spark,
-      CandidateGraph.Result(nodes, spark.emptyDataFrame, t, TemporalGraphs.counts(t)), minDistM = 250.0)
+      CandidateGraph.Node(0L, 53.33, -6.26, isStation = true),
+      CandidateGraph.Node(101L, 53.33 + 200 / mLat, -6.26, isStation = false), // 200 m from station
+      CandidateGraph.Node(102L, 53.33 + 400 / mLat, -6.26, isStation = false)) // 400 m away
+    val res = selectToy(nodes, Map(0L -> 1L, 101L -> 50L, 102L -> 50L))
     assert(res.selected.map(_.nodeId) === Seq(102L))
   }
 }

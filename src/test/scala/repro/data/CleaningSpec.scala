@@ -91,6 +91,36 @@ class CleaningSpec extends SparkSpec {
     assert(cleaned.stations.filter(!Cleaning.validCoords($"lat", $"lon")).count() === 0L)
   }
 
+  // rules 1-3 have two encodings: the Catalyst predicate cleaning filters
+  // with and the plain Scala one the generator places rows with
+  test("validCoords agrees with inDublin && onLand on edges, nulls and random points") {
+    import spark.implicits._
+    import MobySchema._
+    val eps = 1e-9
+    def around(edges: Double*) = edges.flatMap(e => Seq(e - eps, e, e + eps))
+    val lats = around(DublinLatMin, DublinLatMax, SeaLatMin, SeaLatMax) :+ 53.30
+    val lons = around(DublinLonMin, DublinLonMax, SeaLonMin) ++ Seq(-6.26, -6.08)
+    val rnd = new scala.util.Random(11)
+    val random = Seq.fill(2000)((53.10 + rnd.nextDouble() * 0.46, -6.60 + rnd.nextDouble() * 0.64))
+    val points = (for (la <- lats; lo <- lons) yield (la, lo)) ++ random
+    val cases = points.map { case (la, lo) => (Option(la), Option(lo)) } ++
+      Seq((None, Some(-6.26)), (Some(53.30), None), (None, None))
+    val got = cases.zipWithIndex.map { case ((la, lo), i) => (i.toLong, la, lo) }
+      .toDF("id", "lat", "lon")
+      .select($"id", Cleaning.validCoords($"lat", $"lon"))
+      .as[(Long, Boolean)].collect().toMap
+    assert(got.size === cases.size)
+    for (((la, lo), i) <- cases.zipWithIndex) {
+      val expected = (la, lo) match {
+        case (Some(a), Some(b)) => inDublin(a, b) && onLand(a, b)
+        case _ => false
+      }
+      assert(got(i.toLong) === expected, s"lat=$la lon=$lo")
+    }
+    // the inputs reach both answers, inside the box and across the sea
+    assert(got.values.toSet === Set(true, false))
+  }
+
   test("cleaning is idempotent") {
     val again = Cleaning.clean(MobySchema.MobyData(
       cleaned.stations, cleaned.locations, cleaned.rentals, data.locationMeta))

@@ -2,6 +2,7 @@ package repro.report
 
 import repro.SparkSpec
 import repro.core.{CandidateGraph, CommunityAnalysis, SelectedGraph}
+import repro.core.TemporalGraphs.{TDay, THour, TNull}
 import repro.data.Cleaning
 
 /** Tests for the paper-vs-measured table renderers. */
@@ -82,6 +83,17 @@ class PaperTablesSpec extends SparkSpec {
     assert(s.contains("ours 2 @ Q=0.25"))
     assert(s.contains("measured:") && s.contains("paper:"))
     assert(s.contains("12012")) // paper row values present
+  }
+
+  test("community titles and references each granularity's table as the paper does") {
+    val summary = CommunityAnalysis.Summary(
+      Seq(CommunityAnalysis.CommunityRow(1, 40, 18, 58, 12000, 5000, 5100)), modularity = 0.3)
+    assert(PaperTables.community(TNull, summary) === PaperTables.tableCommunity("TABLE IV — G_Basic",
+      PaperTables.PaperBasic, PaperTables.PaperBasicRows, summary))
+    assert(PaperTables.community(TDay, summary) === PaperTables.tableCommunity("TABLE V — G_Day",
+      PaperTables.PaperDay, PaperTables.PaperDayRows, summary))
+    assert(PaperTables.community(THour, summary) === PaperTables.tableCommunity("TABLE VI — G_Hour",
+      PaperTables.PaperHour, PaperTables.PaperHourRows, summary))
   }
 
   test("self-containment in the headline uses within/(within+out)") {
