@@ -1,6 +1,7 @@
 package repro.cluster
 
-import scala.collection.mutable
+import java.util.Arrays
+
 import scala.math.Ordering.Double.TotalOrdering
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
@@ -16,14 +17,15 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
   * Zheng & Chen, ICCS 2014). Proximity components are implicit: no pair
   * links two of them. We therefore:
   *
-  *   1. build the ≤`cutM` neighbour pairs with [[SpatialGrid.pairs]];
-  *   2. run exact complete linkage over those pairs;
+  *   1. build the ≤`cutM` neighbour lists with [[SpatialGrid.pairs]];
+  *   2. run exact complete linkage over those lists;
   *   3. optionally enforce the paper's Rule 2 (cluster centroids >= 50 m
   *      apart) by repeatedly merging the closest centroid pair below the
-  *      threshold, found with [[SpatialGrid.pairs]] over the centroids.
+  *      threshold, found in the i < j half of [[SpatialGrid.pairs]] over
+  *      the centroids.
   *
-  * All of it runs on the driver: complete linkage needs every point of a
-  * proximity component in one place.
+  * All of it runs on the driver, in primitive arrays: complete linkage
+  * needs every point of a proximity component in one place.
   *
   * Cluster ids are the minimum member point id — stable and deterministic.
   */
@@ -31,54 +33,158 @@ object HAC {
 
   final case class Result(assignment: DataFrame, centroids: DataFrame)
 
-  /** Exact complete-linkage agglomeration with diameter cut over `n` points
-    * indexed in ascending id order, given their pairs (i, j, distance) with
-    * i < j; pairs above `cutM` are ignored. Returns, per point, the index
+  /** Exact complete-linkage agglomeration with diameter cut over the
+    * points 0 until n of `g`, indexed in ascending id order; neighbours
+    * further apart than `cutM` are ignored. Returns, per point, the index
     * of its cluster's least member.
     *
-    * Each live cluster keeps a map from neighbouring clusters to their
-    * linkage; a queue holds every linkage and skips entries a merge made
+    * Each live cluster keeps its neighbours as two parallel arrays sorted
+    * by cluster: ids and linkages. A merge is one linear pass over the two
+    * clusters' arrays that keeps the neighbours both share, each at the
+    * larger linkage; a neighbour's own entry for the kept cluster is then
+    * raised in place, or set to +∞ (no pair) if only the kept cluster had
+    * it, and its entries for the dropped cluster are skipped from then on.
+    * A binary heap over a `Double` array and a `Long` array packing
+    * `lo << 32 | hi` holds every linkage and skips entries a merge made
     * stale. Merges go least linkage first, ties to the pair whose lower
     * cluster has the least member, then to the other cluster's least
     * member. Complete linkage is monotone, so merging until no linkage is
     * left is exactly the dendrogram cut.
     */
-  private[cluster] def completeLinkage(
-      n: Int, pairs: Iterable[(Int, Int, Double)], cutM: Double): Array[Int] = {
-    val nbr = Array.fill(n)(mutable.HashMap.empty[Int, Double])
-    // (linkage, lo, hi) with lo < hi, least first
-    val queue = mutable.PriorityQueue.empty[(Double, Int, Int)](Ordering[(Double, Int, Int)].reverse)
-    for ((i, j, d) <- pairs if d <= cutM) {
-      nbr(i)(j) = d; nbr(j)(i) = d
-      queue.enqueue((d, i, j))
+  private[cluster] def completeLinkage(g: SpatialGrid.Neighbours, cutM: Double): Array[Int] = {
+    val n = g.n
+    val ids = new Array[Array[Int]](n)
+    val links = new Array[Array[Double]](n)
+    val heap = new LinkageHeap(g.offsets(n) / 2)
+    // each point's row of neighbours within cutM; the heap takes each pair once
+    var i = 0
+    while (i < n) {
+      val (from, until) = (g.offsets(i), g.offsets(i + 1))
+      val rowIds = new Array[Int](until - from)
+      val rowLinks = new Array[Double](until - from)
+      var m = 0
+      var e = from
+      while (e < until) {
+        if (g.metres(e) <= cutM) {
+          rowIds(m) = g.nbr(e); rowLinks(m) = g.metres(e); m += 1
+          if (g.nbr(e) > i) heap.add(g.metres(e), i, g.nbr(e))
+        }
+        e += 1
+      }
+      ids(i) = if (m == rowIds.length) rowIds else Arrays.copyOf(rowIds, m)
+      links(i) = if (m == rowLinks.length) rowLinks else Arrays.copyOf(rowLinks, m)
+      i += 1
     }
+    heap.heapify()
 
     val parent = Array.tabulate(n)(identity)
-    while (queue.nonEmpty) {
-      val (d, lo, hi) = queue.dequeue()
-      if (parent(lo) == lo && parent(hi) == hi && nbr(lo).get(hi).contains(d)) {
-        // merge hi into lo, keeping only the neighbours both share, each at
-        // the larger of its two linkages
-        val (a, b) = (nbr(lo), nbr(hi))
-        parent(hi) = lo; nbr(hi) = null
-        a.remove(hi); b.remove(lo)
-        for (k <- b.keysIterator) nbr(k).remove(hi)
-        val merged = mutable.HashMap.empty[Int, Double]
-        for ((k, da) <- a) b.get(k) match {
-          case Some(db) =>
-            merged(k) = math.max(da, db)
-            if (db > da) {
-              nbr(k)(lo) = db
-              queue.enqueue((db, math.min(lo, k), math.max(lo, k)))
-            }
-          case None => nbr(k).remove(lo)
+    // the linkage of live clusters a and b, +∞ if they have none
+    def linkage(a: Int, b: Int): Double = {
+      val e = Arrays.binarySearch(ids(a), b)
+      if (e < 0) Double.PositiveInfinity else links(a)(e)
+    }
+    def setLinkage(a: Int, b: Int, d: Double): Unit = links(a)(Arrays.binarySearch(ids(a), b)) = d
+    val sharedIds = new Array[Int](ids.foldLeft(0)((m, a) => math.max(m, a.length)))
+    val sharedLinks = new Array[Double](sharedIds.length)
+    while (heap.nonEmpty) {
+      val d = heap.topLinkage
+      val lo = heap.topLo
+      val hi = heap.topHi
+      heap.pop()
+      if (parent(lo) == lo && parent(hi) == hi && linkage(lo, hi) == d) {
+        // merge hi into lo: one pass over both sorted lists keeps the live
+        // neighbours both share, each at the larger of its two linkages
+        parent(hi) = lo
+        val aIds = ids(lo); val aLinks = links(lo)
+        val bIds = ids(hi); val bLinks = links(hi)
+        var a = 0; var b = 0; var m = 0
+        while (a < aIds.length) {
+          // dead clusters (hi among them) and +∞ entries are no neighbours
+          val k = aIds(a)
+          if (parent(k) == k && aLinks(a) != Double.PositiveInfinity) {
+            while (b < bIds.length && bIds(b) < k) b += 1
+            if (b < bIds.length && bIds(b) == k && bLinks(b) != Double.PositiveInfinity) {
+              val (da, db) = (aLinks(a), bLinks(b))
+              sharedIds(m) = k; sharedLinks(m) = math.max(da, db); m += 1
+              if (db > da) {
+                setLinkage(k, lo, db)
+                heap.push(db, math.min(lo, k), math.max(lo, k))
+              }
+            } else setLinkage(k, lo, Double.PositiveInfinity)
+          }
+          a += 1
         }
-        nbr(lo) = merged
+        ids(lo) = Arrays.copyOf(sharedIds, m); links(lo) = Arrays.copyOf(sharedLinks, m)
+        ids(hi) = null; links(hi) = null
       }
     }
     // a cluster's parent has a lower index, so one ascending pass finds roots
     for (k <- 0 until n) parent(k) = parent(parent(k))
     parent
+  }
+
+  /** A binary min-heap of (linkage, lo, hi), ordered by linkage under
+    * `java.lang.Double.compare`, then lo, then hi; lo and hi are packed
+    * into one `Long` as `lo << 32 | hi`, which orders the same way.
+    */
+  private final class LinkageHeap(capacity: Int) {
+    private var linkage = new Array[Double](math.max(16, capacity))
+    private var packed = new Array[Long](linkage.length)
+    private var size = 0
+
+    def nonEmpty: Boolean = size > 0
+    def topLinkage: Double = linkage(0)
+    def topLo: Int = (packed(0) >>> 32).toInt
+    def topHi: Int = packed(0).toInt
+
+    /** Append without restoring heap order; [[heapify]] restores it. */
+    def add(d: Double, lo: Int, hi: Int): Unit = {
+      if (size == linkage.length) {
+        linkage = Arrays.copyOf(linkage, 2 * size); packed = Arrays.copyOf(packed, 2 * size)
+      }
+      linkage(size) = d; packed(size) = lo.toLong << 32 | hi; size += 1
+    }
+
+    def heapify(): Unit = for (k <- size / 2 - 1 to 0 by -1) siftDown(k, linkage(k), packed(k))
+
+    def push(d: Double, lo: Int, hi: Int): Unit = {
+      add(d, lo, hi)
+      siftUp(size - 1, d, packed(size - 1))
+    }
+
+    def pop(): Unit = {
+      size -= 1
+      if (size > 0) siftDown(0, linkage(size), packed(size))
+    }
+
+    /** Whether (d, p) goes before the entry at slot k. */
+    private def before(d: Double, p: Long, k: Int): Boolean = {
+      val c = java.lang.Double.compare(d, linkage(k))
+      c < 0 || (c == 0 && p < packed(k))
+    }
+
+    /** Put (d, p) in the hole at slot k, moving greater parents down. */
+    private def siftUp(k: Int, d: Double, p: Long): Unit = {
+      var hole = k
+      while (hole > 0 && before(d, p, (hole - 1) / 2)) {
+        val up = (hole - 1) / 2
+        linkage(hole) = linkage(up); packed(hole) = packed(up); hole = up
+      }
+      linkage(hole) = d; packed(hole) = p
+    }
+
+    /** Put (d, p) in the hole at slot k, moving lesser children up. */
+    private def siftDown(k: Int, d: Double, p: Long): Unit = {
+      var hole = k
+      var done = false
+      while (!done) {
+        val l = 2 * hole + 1
+        val c = if (l + 1 < size && before(linkage(l + 1), packed(l + 1), l)) l + 1 else l
+        if (c < size && !before(d, p, c)) { linkage(hole) = linkage(c); packed(hole) = packed(c); hole = c }
+        else done = true
+      }
+      linkage(hole) = d; packed(hole) = p
+    }
   }
 
   /** A cluster: its id (the least member id), centroid and point count. */
@@ -93,7 +199,7 @@ object HAC {
             minCentroidSepM: Double): (Array[Long], Seq[Cluster]) = {
     require(ids.indices.drop(1).forall(k => ids(k - 1) < ids(k)), "point ids must be strictly ascending")
     val n = ids.length
-    val parent = completeLinkage(n, SpatialGrid.pairs(lats, lons, cutM), cutM)
+    val parent = completeLinkage(SpatialGrid.pairs(lats, lons, cutM), cutM)
 
     // centroids, summed in id order
     val (sumLat, sumLon, count) = (new Array[Double](n), new Array[Double](n), new Array[Long](n))
@@ -108,7 +214,7 @@ object HAC {
     // Rule 2: merge the closest centroid pair below the separation, ties to
     // the first pair in cluster-id order, into the one with the lower id
     def closest = SpatialGrid.pairs(cs.map(_.lat).toArray, cs.map(_.lon).toArray, minCentroidSepM)
-      .filter(_._3 < minCentroidSepM).minByOption { case (i, j, d) => (d, i, j) }
+      .upperPairs.filter(_._3 < minCentroidSepM).minByOption { case (i, j, d) => (d, i, j) }
     var next = if (minCentroidSepM > 0) closest else None
     while (next.nonEmpty) {
       val (bi, bj, _) = next.get

@@ -43,31 +43,29 @@ object Louvain {
     val tot = mutable.HashMap.empty[Long, Double]
     g.nodes.foreach(v => tot(v) = k(v))
     val twoM = g.twoM
-    var improvedEver = false
-    var improved = true
-    while (improved) {
-      improved = false
-      for (v <- g.nodes) {
-        val cv = comm(v)
-        // weight from v to each neighbouring community (self-loop excluded)
-        val nbrW = mutable.HashMap.empty[Long, Double].withDefaultValue(0.0)
-        g.adj(v).foreach { case (u, w) => if (u != v) nbrW(comm(u)) += w }
-        tot(cv) -= k(v)
-        // gain of joining community c: nbrW(c)/m' - tot(c)*k(v)/2m²·2 —
-        // compare via gain(c) = nbrW(c) - tot(c)*k(v)/twoM
-        val stayGain = nbrW(cv) - tot(cv) * k(v) / twoM
-        var bestC = cv
-        var bestGain = stayGain
-        for ((c, w) <- nbrW.toSeq.sortBy(_._1) if c != cv) {
-          val gain = w - tot(c) * k(v) / twoM
-          // move only on strictly positive improvement; ties among
-          // candidates resolve to the smallest id via the sorted scan
-          if (gain > bestGain + 1e-12) { bestGain = gain; bestC = c }
-        }
-        tot(bestC) += k(v)
-        if (bestC != cv) { comm(v) = bestC; improved = true; improvedEver = true }
+    // one sweep over the nodes in id order; true if any node moved
+    def sweep(): Boolean = g.nodes.count { v =>
+      val cv = comm(v)
+      // weight from v to each neighbouring community (self-loop excluded)
+      val nbrW = mutable.HashMap.empty[Long, Double].withDefaultValue(0.0)
+      g.adj(v).foreach { case (u, w) => if (u != v) nbrW(comm(u)) += w }
+      tot(cv) -= k(v)
+      // gain of joining community c: nbrW(c)/m' - tot(c)*k(v)/2m²·2 —
+      // compare via gain(c) = nbrW(c) - tot(c)*k(v)/twoM
+      val stayGain = nbrW(cv) - tot(cv) * k(v) / twoM
+      // move only on strictly positive improvement; ties among candidates
+      // resolve to the smallest id via the sorted scan
+      val (bestC, _) = nbrW.toSeq.sortBy(_._1).foldLeft((cv, stayGain)) { case (best @ (_, bestGain), (c, w)) =>
+        val gain = w - tot(c) * k(v) / twoM
+        if (c != cv && gain > bestGain + 1e-12) (c, gain) else best
       }
-    }
+      tot(bestC) += k(v)
+      if (bestC != cv) comm(v) = bestC
+      bestC != cv
+    } > 0
+    // sweep until a sweep moves nothing
+    val improvedEver = sweep()
+    if (improvedEver) while (sweep()) ()
     (comm, improvedEver)
   }
 

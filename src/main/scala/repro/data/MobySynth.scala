@@ -83,17 +83,13 @@ object MobySynth {
   private[data] def anchors(c: MobyCounts): IndexedSeq[Anchor] = {
     val stationCounts = apportion(c.goodStations, Regions.map(_.stationW))
     val hotspotCounts = apportion(c.hotspots, Regions.map(_.hotspotW))
-    var sIdx = -1L; var hIdx = -1L
-    val sts = Regions.zip(stationCounts).flatMap { case (r, n) =>
-      sunflower(r.lat, r.lon, r.radiusM * 0.75, n.toInt, 0.7).map { case (la, lo) =>
-        sIdx += 1; Anchor("station", sIdx, r.code, r.block, r.archetype, la, lo)
-      }
-    }
-    val hot = Regions.zip(hotspotCounts).flatMap { case (r, n) =>
-      sunflower(r.lat, r.lon, r.radiusM * 1.25, n.toInt, 0.0).map { case (la, lo) =>
-        hIdx += 1; Anchor("hotspot", hIdx, r.code, r.block, r.archetype, la, lo)
-      }
-    }
+    // each class numbers its anchors 0, 1, ... across the regions in order
+    def layout(cls: String, counts: Seq[Long], radiusFrac: Double, phase: Double) =
+      Regions.zip(counts).flatMap { case (r, n) =>
+        sunflower(r.lat, r.lon, r.radiusM * radiusFrac, n.toInt, phase).map { case (la, lo) => (r, la, lo) }
+      }.zipWithIndex.map { case ((r, la, lo), i) => Anchor(cls, i.toLong, r.code, r.block, r.archetype, la, lo) }
+    val sts = layout("station", stationCounts, 0.75, 0.7)
+    val hot = layout("hotspot", hotspotCounts, 1.25, 0.0)
     (sts ++ hot).toIndexedSeq
   }
 
@@ -200,8 +196,7 @@ object MobySynth {
     * through Spark's own XXH64.
     */
   private[data] def uniform(seed: Long, salt: Int, keys: Long*): Double = {
-    var h = XXH64.hashInt(salt, XXH64.hashLong(seed, XxSeed))
-    for (k <- keys) h = XXH64.hashLong(k, h)
+    val h = keys.foldLeft(XXH64.hashInt(salt, XXH64.hashLong(seed, XxSeed)))((h, k) => XXH64.hashLong(k, h))
     math.floorMod(h, 1000003L) / 1000003.0
   }
 
@@ -404,26 +399,30 @@ object MobySynth {
       def ts(k: Long) = new Timestamp(t0.getTime + k * 60000L)
       def ts2(k: Long) = new Timestamp(t0.getTime + k * 60000L + 900000L)
       def goodLoc(k: Long, s: Int): Long = math.floorMod(k * 48271L + s * 1299709L + seed, c.goodLocations)
-      var id = c.goodRentals - 1
-      def nextId(): Long = { id += 1; id }
-      def mk(n: Long, badBase: Long, nBad: Long, badOnRentalSide: Long => Boolean) =
+      // rental ids continue from the good rentals, block after block
+      val outsideId = c.goodRentals
+      val seaId = outsideId + c.outsideRentals
+      val noCoordId = seaId + c.seaRentals
+      val missingId = noCoordId + c.noCoordRentals
+      val danglingId = missingId + c.missingIdRentals
+      def mk(firstId: Long, n: Long, badBase: Long, nBad: Long, badOnRentalSide: Long => Boolean) =
         (0L until n).map { k =>
-          val rid = nextId(); val bad = badBase + (k % nBad)
+          val rid = firstId + k; val bad = badBase + (k % nBad)
           if (badOnRentalSide(k))
             Row(rid, (k % 95 + 1).toInt, ts(rid), ts2(rid), bad, goodLoc(rid, 1))
           else
             Row(rid, (k % 95 + 1).toInt, ts(rid), ts2(rid), goodLoc(rid, 2), bad)
         }
-      val outside = mk(c.outsideRentals, c.outsideLocBase, c.outsideLocations, _ % 2 == 0)
-      val sea = mk(c.seaRentals, c.seaLocBase, c.seaLocations, _ % 2 == 1)
-      val noCoord = mk(c.noCoordRentals, c.noCoordLocBase, c.noCoordLocations, _ % 2 == 0)
+      val outside = mk(outsideId, c.outsideRentals, c.outsideLocBase, c.outsideLocations, _ % 2 == 0)
+      val sea = mk(seaId, c.seaRentals, c.seaLocBase, c.seaLocations, _ % 2 == 1)
+      val noCoord = mk(noCoordId, c.noCoordRentals, c.noCoordLocBase, c.noCoordLocations, _ % 2 == 0)
       val missing = (0L until c.missingIdRentals).map { k =>
-        val rid = nextId()
+        val rid = missingId + k
         if (k % 2 == 0) Row(rid, (k % 95 + 1).toInt, ts(rid), ts2(rid), null, goodLoc(rid, 3))
         else Row(rid, (k % 95 + 1).toInt, ts(rid), ts2(rid), goodLoc(rid, 4), null)
       }
       val dangling = (0L until c.danglingRentals).map { k =>
-        val rid = nextId()
+        val rid = danglingId + k
         val ghost = c.noCoordLocBase + c.noCoordLocations + 10000000L + k
         if (k % 2 == 0) Row(rid, (k % 95 + 1).toInt, ts(rid), ts2(rid), ghost, goodLoc(rid, 5))
         else Row(rid, (k % 95 + 1).toInt, ts(rid), ts2(rid), goodLoc(rid, 6), ghost)

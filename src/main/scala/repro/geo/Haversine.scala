@@ -1,7 +1,5 @@
 package repro.geo
 
-import scala.math.Ordering.Double.TotalOrdering
-
 /** Haversine geodesic distance (paper eq. 1).
   *
   * The paper uses the haversine formula because it "remains accurate for
@@ -29,11 +27,25 @@ object Haversine {
   }
 
   /** The point nearest to (lat, lon) as (metres, id), over points given
-    * as (id, lat, lon): the least such pair, so a distance tie goes to the
-    * lower id. Each distance is `metres(lat, lon, point's lat, point's lon)`.
+    * as (id, lat, lon): the least such pair, with metres compared by
+    * `java.lang.Double.compare`, so a distance tie goes to the lower id.
+    * Each distance is `metres(lat, lon, point's lat, point's lon)`. One
+    * pass that keeps the best metres and id, allocating nothing per point.
     */
-  def nearest(lat: Double, lon: Double, points: Iterable[(Long, Double, Double)]): (Double, Long) =
-    points.iterator.map { case (id, pLat, pLon) => (metres(lat, lon, pLat, pLon), id) }.min
+  def nearest(lat: Double, lon: Double, points: Iterable[(Long, Double, Double)]): (Double, Long) = {
+    val it = points.iterator
+    if (!it.hasNext) throw new UnsupportedOperationException("nearest of no points")
+    val (id0, lat0, lon0) = it.next()
+    var bestM = metres(lat, lon, lat0, lon0)
+    var bestId = id0
+    while (it.hasNext) {
+      val (id, pLat, pLon) = it.next()
+      val d = metres(lat, lon, pLat, pLon)
+      val c = java.lang.Double.compare(d, bestM)
+      if (c < 0 || (c == 0 && id < bestId)) { bestM = d; bestId = id }
+    }
+    (bestM, bestId)
+  }
 
   /** Metres of one degree of latitude (constant on the sphere). */
   val MetresPerDegLat: Double = math.Pi * EarthRadiusM / 180.0

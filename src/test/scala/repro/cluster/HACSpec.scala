@@ -1,5 +1,8 @@
 package repro.cluster
 
+import scala.collection.mutable
+import scala.math.Ordering.Double.TotalOrdering
+
 import repro.SparkSpec
 import repro.geo.Haversine
 
@@ -15,6 +18,13 @@ class HACSpec extends SparkSpec {
 
   // ---- completeLinkage ----
 
+  /** Neighbour lists of `n` points holding the pairs (i, j, d), i < j. */
+  private def neighbours(n: Int, pairs: Seq[(Int, Int, Double)]): SpatialGrid.Neighbours = {
+    val entries = (pairs ++ pairs.map { case (i, j, d) => (j, i, d) }).sortBy(e => (e._1, e._2))
+    val offsets = Array.tabulate(n + 1)(r => entries.count(_._1 < r))
+    SpatialGrid.Neighbours(offsets, entries.map(_._2).toArray, entries.map(_._3).toArray)
+  }
+
   /** Driver-side linkage over the <= `cut` pairs, found by brute force. */
   private def local(pts: Seq[(Long, Double, Double)], cut: Double): Map[Long, Int] = {
     val arr = pts.sortBy(_._1).toArray
@@ -22,8 +32,59 @@ class HACSpec extends SparkSpec {
       i <- arr.indices; j <- i + 1 until arr.length
       d = Haversine.metres(arr(i)._2, arr(i)._3, arr(j)._2, arr(j)._3) if d <= cut
     } yield (i, j, d)
-    val labels = HAC.completeLinkage(arr.length, pairs, cut)
+    val labels = HAC.completeLinkage(neighbours(arr.length, pairs), cut)
     arr.map(_._1).zip(labels).toMap
+  }
+
+  /** Complete linkage over boxed pairs, with one hash map per cluster and a
+    * tuple priority queue: the reference the array linkage must match on
+    * inputs too large for the naive check.
+    */
+  private def boxedCompleteLinkage(
+      n: Int, pairs: Iterable[(Int, Int, Double)], cutM: Double): Array[Int] = {
+    val nbr = Array.fill(n)(mutable.HashMap.empty[Int, Double])
+    // (linkage, lo, hi) with lo < hi, least first
+    val queue = mutable.PriorityQueue.empty[(Double, Int, Int)](Ordering[(Double, Int, Int)].reverse)
+    for ((i, j, d) <- pairs if d <= cutM) {
+      nbr(i)(j) = d; nbr(j)(i) = d
+      queue.enqueue((d, i, j))
+    }
+
+    val parent = Array.tabulate(n)(identity)
+    while (queue.nonEmpty) {
+      val (d, lo, hi) = queue.dequeue()
+      if (parent(lo) == lo && parent(hi) == hi && nbr(lo).get(hi).contains(d)) {
+        // merge hi into lo, keeping only the neighbours both share, each at
+        // the larger of its two linkages
+        val (a, b) = (nbr(lo), nbr(hi))
+        parent(hi) = lo; nbr(hi) = null
+        a.remove(hi); b.remove(lo)
+        for (k <- b.keysIterator) nbr(k).remove(hi)
+        val merged = mutable.HashMap.empty[Int, Double]
+        for ((k, da) <- a) b.get(k) match {
+          case Some(db) =>
+            merged(k) = math.max(da, db)
+            if (db > da) {
+              nbr(k)(lo) = db
+              queue.enqueue((db, math.min(lo, k), math.max(lo, k)))
+            }
+          case None => nbr(k).remove(lo)
+        }
+        nbr(lo) = merged
+      }
+    }
+    // a cluster's parent has a lower index, so one ascending pass finds roots
+    for (k <- 0 until n) parent(k) = parent(parent(k))
+    parent
+  }
+
+  /** Both linkages over the grid pairs of `pts` at a 100 m cut, points in
+    * id order: (the linkage's parents, the reference's parents).
+    */
+  private def bothLinkages(pts: Seq[(Long, Double, Double)]): (Seq[Int], Seq[Int]) = {
+    val (_, lats, lons) = pts.sortBy(_._1).toArray.unzip3
+    val g = SpatialGrid.pairs(lats, lons, 100.0)
+    (HAC.completeLinkage(g, 100.0).toSeq, boxedCompleteLinkage(pts.size, g.upperPairs.toSeq, 100.0).toSeq)
   }
 
   test("single point forms one cluster") {
@@ -82,28 +143,29 @@ class HACSpec extends SparkSpec {
     // linkage until min distance > cut; ties go to the pair whose lower
     // cluster has the least member id, then to the other's least member id
     def naive(pts: Seq[(Long, Double, Double)], cut: Double): Set[Set[Long]] = {
-      var clusters = pts.map(p => Set(p._1)).toList
       val coord = pts.map(p => p._1 -> (p._2, p._3)).toMap
       def dist(x: Long, y: Long): Double = {
         val ((la1, lo1), (la2, lo2)) = (coord(x min y), coord(x max y))
         Haversine.metres(la1, lo1, la2, lo2)
       }
       def cl(a: Set[Long], b: Set[Long]): Double = (for (x <- a; y <- b) yield dist(x, y)).max
-      var done = false
-      while (!done && clusters.size > 1) {
-        val pairs = for (i <- clusters.indices; j <- i + 1 until clusters.size) yield {
-          val (lo, hi) = (clusters(i).min min clusters(j).min, clusters(i).min max clusters(j).min)
-          (i, j, cl(clusters(i), clusters(j)), lo, hi)
-        }
-        val (i, j, d, _, _) = pairs.minBy(t => (t._3, t._4, t._5))
-        if (d > cut) done = true
+      @annotation.tailrec
+      def mergeAll(clusters: List[Set[Long]]): List[Set[Long]] =
+        if (clusters.size <= 1) clusters
         else {
-          val merged = clusters(i) ++ clusters(j)
-          clusters = merged :: clusters.zipWithIndex
-            .filter { case (_, k) => k != i && k != j }.map(_._1)
+          val pairs = for (i <- clusters.indices; j <- i + 1 until clusters.size) yield {
+            val (lo, hi) = (clusters(i).min min clusters(j).min, clusters(i).min max clusters(j).min)
+            (i, j, cl(clusters(i), clusters(j)), lo, hi)
+          }
+          val (i, j, d, _, _) = pairs.minBy(t => (t._3, t._4, t._5))
+          if (d > cut) clusters
+          else {
+            val merged = clusters(i) ++ clusters(j)
+            mergeAll(merged :: clusters.zipWithIndex
+              .filter { case (_, k) => k != i && k != j }.map(_._1))
+          }
         }
-      }
-      clusters.toSet
+      mergeAll(pts.map(p => Set(p._1)).toList).toSet
     }
     def check(what: String, pts: Seq[(Long, Double, Double)]): Unit = {
       val mine = local(pts, 100.0)
@@ -131,6 +193,47 @@ class HACSpec extends SparkSpec {
     check("lattice", lattice.zipWithIndex.map { case ((la, lo), i) => (i.toLong, la, lo) })
     val shuffledIds = rnd.shuffle(lattice.indices.map(_.toLong))
     check("lattice, shuffled ids", lattice.zip(shuffledIds).map { case ((la, lo), i) => (i, la, lo) })
+  }
+
+  test("matches the boxed linkage on dense percolating clumped fields") {
+    // 400 clumps of 5 points (sigma 18 m, clamped to 3 sigma) uniform over a
+    // 1,771 m square: the density of the 5,000-point benchmark field, at
+    // which the 100 m proximity graph percolates
+    val side = 2800.0 * math.sqrt(0.4)
+    for (seed <- 7 to 10) {
+      val rnd = new scala.util.Random(seed)
+      val pts = (0 until 400).flatMap { c =>
+        val (cx, cy) = ((rnd.nextDouble() - 0.5) * side, (rnd.nextDouble() - 0.5) * side)
+        def jitter = math.max(-54.0, math.min(54.0, rnd.nextGaussian() * 18.0))
+        (0 until 5).map { k => val (la, lo) = at(53.3498, -6.2603, cx + jitter, cy + jitter); ((5 * c + k).toLong, la, lo) }
+      }
+      val (mine, reference) = bothLinkages(pts)
+      assert(mine.distinct.size < pts.size / 2, s"seed $seed: too few merges to compare")
+      assert(mine === reference, s"seed $seed")
+    }
+  }
+
+  test("matches the boxed linkage on a 30 x 30 dyadic lattice, ids in row order and shuffled") {
+    // about 27 m by 32 m spacing on dyadic degrees: equal offsets give
+    // bitwise-equal distances, so most linkages tie
+    val lattice = for (r <- 0 until 30; c <- 0 until 30) yield (53.25 + r / 4096.0, -6.25 + c / 2048.0)
+    val rowOrder = lattice.zipWithIndex.map { case ((la, lo), i) => (i.toLong, la, lo) }
+    val shuffledIds = new scala.util.Random(5).shuffle(lattice.indices.map(_.toLong))
+    val shuffled = lattice.zip(shuffledIds).map { case ((la, lo), i) => (i, la, lo) }
+    for ((what, pts) <- Seq("row order" -> rowOrder, "shuffled" -> shuffled)) {
+      val (mine, reference) = bothLinkages(pts)
+      assert(mine === reference, what)
+    }
+  }
+
+  test("matches the boxed linkage on a field with duplicated coordinates") {
+    // 1,500 points on 300 sites over 1 km: ties at distance 0 and between
+    // the same two sites
+    val rnd = new scala.util.Random(19)
+    val sites = IndexedSeq.fill(300)(at(53.33, -6.26, rnd.nextDouble() * 1000, rnd.nextDouble() * 1000))
+    val pts = (0 until 1500).map { i => val (la, lo) = sites(rnd.nextInt(sites.size)); (i.toLong, la, lo) }
+    val (mine, reference) = bothLinkages(pts)
+    assert(mine === reference)
   }
 
   // ---- distributed cluster() ----

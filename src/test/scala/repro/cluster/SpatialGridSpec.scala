@@ -89,6 +89,60 @@ class SpatialGridSpec extends SparkSpec {
     }
   }
 
+  test("neighbour lists equal brute force at random latitudes, with coincident points and cell edges") {
+    val t = 100.0
+    val rnd = new scala.util.Random(23)
+    for (trial <- 0 until 10) {
+      val lat0 = rnd.nextDouble() * 70
+      val lon0 = rnd.nextDouble() * 40 - 20
+      val dLat = 300.0 / Haversine.MetresPerDegLat
+      val dLon = 300.0 / Haversine.metresPerDegLon(lat0)
+      val field = IndexedSeq.fill(150)((lat0 + rnd.nextDouble() * dLat, lon0 + rnd.nextDouble() * dLon))
+      // points on the grid's cell edges, sized as SpatialGrid.pairs sizes them
+      val maxAbsLat = (lat0 + dLat).abs.max(lat0.abs)
+      val cellLat = math.toDegrees(t / Haversine.EarthRadiusM)
+      val cellLon = math.toDegrees(2 * math.asin(math.min(1.0,
+        math.sin(t / (2 * Haversine.EarthRadiusM)) / math.cos(math.toRadians(maxAbsLat)))))
+      val (y0, x0) = (math.ceil(lat0 / cellLat), math.ceil(lon0 / cellLon))
+      val edges = for (dy <- 0 to 2; dx <- 0 to 2) yield ((y0 + dy) * cellLat, (x0 + dx) * cellLon)
+      // and every tenth point again, coincident with the first copy
+      val coords = rnd.shuffle(field ++ edges ++ field.indices.by(10).map(field))
+      val (lats, lons) = (coords.map(_._1).toArray, coords.map(_._2).toArray)
+      val n = coords.size
+      val g = SpatialGrid.pairs(lats, lons, t)
+      def metres(i: Int, j: Int) = Haversine.metres(lats(i min j), lons(i min j), lats(i max j), lons(i max j))
+
+      assert(g.n === n && g.offsets(0) === 0 && g.offsets(n) === g.nbr.length && g.nbr.length === g.metres.length)
+      val entries = for (r <- 0 until n; e <- g.offsets(r) until g.offsets(r + 1)) yield (r, g.nbr(e), g.metres(e))
+      for (r <- 0 until n) {
+        val row = (g.offsets(r) until g.offsets(r + 1)).map(g.nbr)
+        assert(row === row.sorted && row.distinct === row, s"trial $trial: row $r is not strictly ascending")
+      }
+      entries.foreach { case (r, c, d) =>
+        assert(r != c, s"trial $trial: self pair at $r")
+        assert(java.lang.Double.doubleToRawLongBits(d) === java.lang.Double.doubleToRawLongBits(metres(r, c)),
+          s"trial $trial: distance of ($r, $c)")
+      }
+      // symmetric, each pair once per direction
+      assert(entries.map { case (r, c, d) => (c, r, d) }.sorted === entries.sorted, s"trial $trial: asymmetric")
+      val brute = for (i <- 0 until n; j <- i + 1 until n if metres(i, j) <= t) yield (i, j)
+      assert(entries.filter(e => e._1 < e._2).map(e => (e._1, e._2)) === brute, s"trial $trial at lat $lat0")
+      assert(brute.count { case (i, j) => lats(i) == lats(j) && lons(i) == lons(j) } >= 15)
+    }
+    assert(SpatialGrid.pairs(Array.empty, Array.empty, t).offsets.toSeq === Seq(0))
+    assert(SpatialGrid.pairs(Array(53.3), Array(-6.2), t).offsets.toSeq === Seq(0, 0))
+  }
+
+  test("pairs fails early once the neighbour lists would need more entries than Int offsets index") {
+    // the guard pairs applies before it allocates the lists, checked on a
+    // count alone so the test allocates nothing large
+    assert(2 * SpatialGrid.MaxPairs <= Int.MaxValue && 2 * (SpatialGrid.MaxPairs + 1) > Int.MaxValue)
+    SpatialGrid.requireFits(SpatialGrid.MaxPairs, 100.0, 50000)
+    val e = intercept[IllegalArgumentException](SpatialGrid.requireFits(SpatialGrid.MaxPairs + 1, 100.0, 50000))
+    assert(e.getMessage.contains("1073741824 pairs"), e.getMessage)
+    assert(e.getMessage.contains("100.0 m") && e.getMessage.contains("50000 points"), e.getMessage)
+  }
+
   test("boundary pair exactly at threshold is included") {
     // ~100.07 m apart at 0.0009 deg latitude: use threshold just above
     val pts = Seq((1L, 53.3300, -6.26), (2L, 53.3300 + 100.0 / Haversine.MetresPerDegLat, -6.26))

@@ -16,12 +16,10 @@ class StationSelectionSpec extends SparkSpec {
   private def selectToy(nodes: Seq[CandidateGraph.Node],
                         roundTrips: Map[Long, Long]): StationSelection.Result = {
     val counts = roundTrips.map { case (n, trips) => (n, n, 0, 10) -> trips }
-    var res: StationSelection.Result = null
-    val jobs = jobsStarted {
-      res = StationSelection.select(spark,
-        CandidateGraph.Result(nodes, Map.empty, counts, spark.emptyDataFrame), minDistM = 250.0)
-    }
-    assert(jobs === 0)
+    // first evaluated inside jobsStarted, which counts the jobs it starts
+    lazy val res = StationSelection.select(spark,
+      CandidateGraph.Result(nodes, Map.empty, counts, spark.emptyDataFrame), minDistM = 250.0)
+    assert(jobsStarted(res) === 0)
     res
   }
 
