@@ -25,8 +25,9 @@ object Pipeline {
                           selected: SelectedGraph.Result)
 
   /** Run generation through station selection (Tables I–III). The one
-    * Spark job is `Cleaning.clean`'s rental aggregate; every later stage
-    * reads its collected counts on the driver.
+    * Spark job is `Cleaning.clean`'s count of the rentals, folded per
+    * partition without a shuffle and merged on the driver; every later
+    * stage reads those counts on the driver.
     */
   def run(spark: SparkSession, cfg: Config = Config()): Result = {
     val raw = MobySynth.generate(spark, cfg.sf, cfg.seed)

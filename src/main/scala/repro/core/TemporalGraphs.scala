@@ -47,7 +47,7 @@ object TemporalGraphs {
   /** Trips per directed node pair, day and hour: (src, dst, day, hour) → n,
     * one Spark aggregate over `trips`; day and hour are [[sliceCol]]s,
     * computed in Spark under the session time zone. The pipeline's own
-    * counts come from `Cleaning.clean`'s aggregate of the same slices,
+    * counts come from `Cleaning.clean`'s count of the same slices,
     * [[relabel]]led location → node by the candidate graph and node → final
     * node by the selected graph; this one serves [[edges]] and the tests.
     */

@@ -1,7 +1,8 @@
 package repro.data
 
+import scala.collection.mutable
 import scala.jdk.CollectionConverters._
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.functions._
 import repro.core.TemporalGraphs.{sliceCol, TDay, THour}
 import MobySchema._
@@ -19,9 +20,10 @@ import MobySchema._
   * Stations are filtered with the spatial validity rules (1–3): the paper
   * drops 95 → 92 stations.
   *
-  * The rentals are read by one Spark aggregate, trips per (rental location,
-  * return location, day, hour); rules 4–6 run on the driver over its
-  * collected groups and the collected locations.
+  * The rentals are read by one Spark job without a shuffle: each partition
+  * counts its rentals per (rental location, return location, day, hour)
+  * and the driver merges the partial counts ([[groups]]). Rules 4–6 run on
+  * the driver over the merged groups and the collected locations.
   */
 object Cleaning {
 
@@ -52,9 +54,9 @@ object Cleaning {
     inDublin && !atSea
   }
 
-  /** Apply all six rules. The one Spark job is the rentals' aggregate; the
-    * generated tables are local relations, so collecting the locations
-    * starts none.
+  /** Apply all six rules. The one Spark job is [[groups]] over the raw
+    * rentals, and it writes no shuffle; the generated tables are local
+    * relations, so collecting the locations starts none.
     */
   def clean(data: MobyData): CleanData = {
     val stations = data.stations.filter(validCoords(col("lat"), col("lon")))
@@ -66,15 +68,13 @@ object Cleaning {
     val valid = validRows.iterator.map(_.getLong(0)).toSet
 
     // rentals per location pair, day and hour; a missing id stays a key
-    val ts = col("start_ts")
-    val groups = data.rentals
-      .groupBy(col("rental_location_id"), col("return_location_id"), sliceCol(TDay, ts), sliceCol(THour, ts))
-      .count().collect()
+    val rentalGroups = groups(data.rentals)
 
     // rules 4-5: both endpoint ids present and valid locations
-    val counts = groups.iterator
-      .filter(r => !r.isNullAt(0) && !r.isNullAt(1) && valid(r.getLong(0)) && valid(r.getLong(1)))
-      .map(r => (r.getLong(0), r.getLong(1), r.getInt(2), r.getInt(3)) -> r.getLong(4)).toMap
+    val counts = rentalGroups.iterator.collect {
+      case (r, n) if !r.isNullAt(0) && !r.isNullAt(1) && valid(r.getLong(0)) && valid(r.getLong(1)) =>
+        (r.getLong(0), r.getLong(1), r.getInt(2), r.getInt(3)) -> n
+    }.toMap
 
     // rule 6: drop locations no surviving rental references
     val referenced = counts.keysIterator.flatMap { case (a, b, _, _) => Iterator(a, b) }.toSet
@@ -88,11 +88,31 @@ object Cleaning {
       .join(locIds.withColumnRenamed("location_id", "return_location_id"), Seq("return_location_id"), "left_semi")
       .select("rental_id", "bike_id", "start_ts", "end_ts", "rental_location_id", "return_location_id")
 
-    CleanData(stations, locations, rentals, counts, origRentals = groups.map(_.getLong(4)).sum)
+    CleanData(stations, locations, rentals, counts, origRentals = rentalGroups.values.sum)
+  }
+
+  /** Rentals per (rental_location_id, return_location_id, day, hour), each
+    * key a `Row` of those four values, day and hour the
+    * [[repro.core.TemporalGraphs.sliceCol]]s under the session time zone.
+    * A `Row` equals another with the same values, nulls included, so the
+    * keys are the groups of `groupBy(...).count()`. One Spark job without
+    * a shuffle: each partition folds its rows into a local map, and the
+    * driver merges the collected partial counts.
+    */
+  private[data] def groups(rentals: DataFrame): Map[Row, Long] = {
+    val ts = col("start_ts")
+    rentals
+      .select(col("rental_location_id"), col("return_location_id"), sliceCol(TDay, ts), sliceCol(THour, ts))
+      .rdd.mapPartitions { rows =>
+        val partial = mutable.HashMap.empty[Row, Long]
+        rows.foreach(r => partial(r) = partial.getOrElse(r, 0L) + 1)
+        partial.iterator
+      }
+      .collect().groupMapReduce(_._1)(_._2)(_ + _)
   }
 
   /** Original-vs-cleaned counts (the content of Table I): the rentals from
-    * `clean`'s aggregate, the stations and locations from collecting their
+    * `clean`'s counts, the stations and locations from collecting their
     * local relations. Starts no Spark job on generated data.
     */
   def report(data: MobyData, cleaned: CleanData): Report =

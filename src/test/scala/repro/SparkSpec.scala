@@ -1,8 +1,8 @@
 package repro
 
 import java.util.concurrent.{CountDownLatch, TimeUnit}
-import java.util.concurrent.atomic.AtomicInteger
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.funsuite.AnyFunSuite
 
@@ -20,18 +20,26 @@ import org.scalatest.funsuite.AnyFunSuite
 trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared
 
-  /** Number of Spark jobs `body` starts. A marker job then drains the
-    * listener: events reach a listener in order, so once it has seen the
-    * marker start, every job `body` started has been counted.
+  /** Number of Spark jobs `body` starts. */
+  def jobsStarted(body: => Any): Int = jobsAndShuffle(body)._1
+
+  /** Spark jobs `body` starts and the shuffle bytes its tasks write. A
+    * marker job then drains the listener: events reach a listener in
+    * order, and a task's end is posted before its job's result returns, so
+    * once the listener has seen the marker start, every job and task
+    * `body` started has been counted.
     */
-  def jobsStarted(body: => Any): Int = {
+  def jobsAndShuffle(body: => Any): (Int, Long) = {
     val sc = spark.sparkContext
     val jobs = new AtomicInteger
+    val shuffleBytes = new AtomicLong
     val drained = new CountDownLatch(1)
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit =
         if (Option(e.properties).exists(_.getProperty(SparkSpec.Marker) != null)) drained.countDown()
         else jobs.incrementAndGet()
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+        Option(e.taskMetrics).foreach(m => shuffleBytes.addAndGet(m.shuffleWriteMetrics.bytesWritten))
     }
     sc.addSparkListener(listener)
     try {
@@ -40,7 +48,7 @@ trait SparkSpec extends AnyFunSuite {
       try sc.parallelize(Seq(1), 1).count()
       finally sc.setLocalProperty(SparkSpec.Marker, null)
       assert(drained.await(60, TimeUnit.SECONDS), "the listener never saw the marker job")
-      jobs.get
+      (jobs.get, shuffleBytes.get)
     } finally sc.removeSparkListener(listener)
   }
 }

@@ -103,7 +103,7 @@ class PipelineSpec extends SparkSpec {
       for (g <- Seq(TemporalGraphs.TNull, TemporalGraphs.TDay, TemporalGraphs.THour))
         Pipeline.communities(spark, r.selected, g)
     }
-    assert(jobs <= 2, s"the unit started $jobs jobs")
+    assert(jobs === 1, s"the unit started $jobs jobs")
   }
 
   test("pipeline is deterministic end to end") {

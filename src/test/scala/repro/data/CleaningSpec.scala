@@ -1,7 +1,11 @@
 package repro.data
 
-import org.apache.spark.sql.functions.{expr, hour}
+import java.sql.Timestamp
+import org.apache.spark.sql.Row
+import org.apache.spark.sql.functions.{col, expr, hour, rand, spark_partition_id}
+import org.apache.spark.sql.types.{LongType, StructField, StructType, TimestampType}
 import repro.{Oracle, SparkSpec}
+import repro.core.TemporalGraphs.{sliceCol, TDay, THour}
 
 /** Tests for the §III cleaning pipeline (Table I). */
 class CleaningSpec extends SparkSpec {
@@ -51,6 +55,62 @@ class CleaningSpec extends SparkSpec {
       assert(c.counts === explicit, tz)
       assert(c.counts.values.sum === c.rentals.count(), tz)
     } finally spark.conf.set(zoneKey, zone)
+  }
+
+  test("clean starts 1 Spark job and writes no shuffle") {
+    val raw = data // the lazy fixture is generated outside the count
+    val (jobs, shuffleBytes) = jobsAndShuffle(Cleaning.clean(raw))
+    assert(jobs === 1, s"clean started $jobs jobs")
+    assert(shuffleBytes === 0L, s"clean wrote $shuffleBytes shuffle bytes")
+  }
+
+  test("counts, origRentals and report do not depend on the rentals' partitioning") {
+    import spark.implicits._
+    // the fixture's dirty rentals: null endpoint ids and ids not in Location
+    val locIds = data.locations.select($"location_id")
+    assert(data.rentals.filter($"rental_location_id".isNull || $"return_location_id".isNull).count() > 0)
+    assert(data.rentals.filter($"rental_location_id".isNotNull)
+      .join(locIds.withColumnRenamed("location_id", "rental_location_id"), Seq("rental_location_id"), "left_anti")
+      .count() > 0)
+    val layouts = Seq(
+      "one partition" -> data.rentals.coalesce(1),
+      "7 partitions, shuffled" -> data.rentals.repartition(7).orderBy(rand(3)))
+    for ((name, rentals) <- layouts) {
+      val raw = data.copy(rentals = rentals)
+      val c = Cleaning.clean(raw)
+      assert(c.counts === cleaned.counts, name)
+      assert(c.origRentals === cleaned.origRentals, name)
+      assert(Cleaning.report(raw, c) === rpt, name)
+    }
+  }
+
+  test("groups merges a key split across partitions and keeps null ids and times as keys") {
+    val at = Timestamp.valueOf("2020-01-08 08:15:00")
+    val rows = Seq[(java.lang.Long, java.lang.Long, Timestamp)](
+      (1L, 2L, at), (1L, null, at), (3L, 4L, at), (null, null, null),
+      (1L, 2L, new Timestamp(at.getTime + 60000)), (null, 2L, at), (1L, null, at),
+      (3L, 4L, new Timestamp(at.getTime + 3600000)), (1L, 2L, at)
+    ).map { case (a, b, t) => Row(a, b, t) }
+    val schema = StructType(Seq(StructField("rental_location_id", LongType),
+      StructField("return_location_id", LongType), StructField("start_ts", TimestampType)))
+    val rentals = spark.createDataFrame(spark.sparkContext.parallelize(rows, 3), schema)
+    val ts = col("start_ts")
+    val slices = Seq(col("rental_location_id"), col("return_location_id"), sliceCol(TDay, ts), sliceCol(THour, ts))
+
+    // (1, 2, Wednesday, 8) has rows in the first and last partitions
+    val split = Row(1L, 2L, 2, 8)
+    val parts = rentals.select((slices :+ spark_partition_id()): _*).collect()
+      .filter(r => Row.fromSeq(r.toSeq.init) == split).map(_.getInt(4)).distinct
+    assert(parts.length > 1, parts.mkString(","))
+
+    val reference = rentals.groupBy(slices: _*).count().collect()
+      .map(r => Row.fromSeq(r.toSeq.init) -> r.getLong(4)).toMap
+    val got = Cleaning.groups(rentals)
+    assert(got === reference)
+    assert(got(split) === 3L)
+    assert(got(Row(1L, null, 2, 8)) === 2L)
+    assert(got(Row(null, null, null, null)) === 1L)
+    assert(got.values.sum === rows.length.toLong)
   }
 
   test("cleaned rentals have no null endpoint ids") {
