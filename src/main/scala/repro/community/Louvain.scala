@@ -87,19 +87,18 @@ object Louvain {
   /** Run Louvain to convergence. */
   def run(edges: Seq[(Long, Long, Double)]): LouvainResult = {
     require(edges.nonEmpty, "empty graph")
-    var current = edges
+    var g = build(edges)
     // node -> community at the finest level
-    var mapping: Map[Long, Long] = build(edges).nodes.map(v => v -> v).toMap
+    var mapping: Map[Long, Long] = g.nodes.map(v => v -> v).toMap
     var levels = 0
     var improved = true
     while (improved) {
-      val g = build(current)
       val (comm, didImprove) = oneLevel(g)
       improved = didImprove
       if (didImprove) {
         levels += 1
         mapping = mapping.view.mapValues(c => comm(c)).toMap
-        current = contract(g, comm)
+        g = build(contract(g, comm))
       }
     }
     // canonicalise community ids to the min member id

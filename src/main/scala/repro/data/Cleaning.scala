@@ -1,9 +1,11 @@
 package repro.data
 
+import scala.annotation.unused
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
-import org.apache.spark.sql.{Column, DataFrame, Row}
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.StructType
 import repro.core.TemporalGraphs.{sliceCol, TDay, THour}
 import MobySchema._
 
@@ -18,16 +20,17 @@ import MobySchema._
   *   6. locations never referenced by the surviving rentals.
   *
   * Stations are filtered with the spatial validity rules (1–3): the paper
-  * drops 95 → 92 stations.
+  * drops 95 → 92 stations. Rules 1–3 have one encoding, `MobySchema.inDublin`
+  * and `onLand` on the collected rows (`spatiallyValid`).
   *
   * The rentals are read by one Spark job without a shuffle: each partition
   * counts its rentals per (rental location, return location, day, hour)
   * and the driver merges the partial counts ([[groups]]). Rules 4–6 run on
-  * the driver over the merged groups and the collected locations.
+  * the driver in one pass over the merged groups.
   */
 object Cleaning {
 
-  /** @param stations     the valid stations
+  /** @param stations     the valid stations, a local relation
     * @param locations    the valid locations the surviving rentals reference,
     *                     a local relation
     * @param rentals      the surviving rentals: a lazy view over the raw
@@ -37,58 +40,72 @@ object Cleaning {
     *                     → surviving rentals; day and hour are
     *                     [[repro.core.TemporalGraphs.sliceCol]]s, taken in the
     *                     session time zone when `clean` ran
-    * @param origRentals  rentals before cleaning
+    * @param table1       the row counts before and after cleaning (Table I)
     */
   final case class CleanData(stations: DataFrame, locations: DataFrame, rentals: DataFrame,
-                             counts: Map[(Long, Long, Int, Int), Long], origRentals: Long)
+                             counts: Map[(Long, Long, Int, Int), Long], table1: Report) {
+    /** rentals before cleaning */
+    def origRentals: Long = table1.origRentals
+  }
 
   final case class Report(origStations: Long, cleanStations: Long,
                           origRentals: Long, cleanRentals: Long,
                           origLocations: Long, cleanLocations: Long)
 
-  /** Spatial validity of a coordinate pair as a Catalyst predicate. */
-  def validCoords(lat: Column, lon: Column): Column = {
-    val inDublin = lat.isNotNull && lon.isNotNull &&
-      lat >= DublinLatMin && lat <= DublinLatMax && lon >= DublinLonMin && lon <= DublinLonMax
-    val atSea = lon > SeaLonMin && lat > SeaLatMin && lat < SeaLatMax
-    inDublin && !atSea
+  /** Rules 1–3: the `rows` of a table with `schema` whose lat and lon are
+    * present, inside Dublin and on land, in their order.
+    */
+  private def spatiallyValid(rows: Array[Row], schema: StructType): Array[Row] = {
+    val (lat, lon) = (schema.fieldIndex("lat"), schema.fieldIndex("lon"))
+    rows.filter(r => !r.isNullAt(lat) && !r.isNullAt(lon) &&
+      inDublin(r.getDouble(lat), r.getDouble(lon)) && onLand(r.getDouble(lat), r.getDouble(lon)))
   }
 
   /** Apply all six rules. The one Spark job is [[groups]] over the raw
-    * rentals, and it writes no shuffle; the generated tables are local
-    * relations, so collecting the locations starts none.
+    * rentals, and it writes no shuffle; the generated stations and
+    * locations are local relations, so collecting them starts none.
     */
   def clean(data: MobyData): CleanData = {
-    val stations = data.stations.filter(validCoords(col("lat"), col("lon")))
+    val spark = data.locations.sparkSession
+    def local(rows: Seq[Row], like: DataFrame) = spark.createDataFrame(rows.asJava, like.schema)
+    val rawStations = data.stations.collect()
+    val rawLocations = data.locations.collect()
+    val stations = spatiallyValid(rawStations, data.stations.schema)
+    val validLocs = spatiallyValid(rawLocations, data.locations.schema)
+    val locId = data.locations.schema.fieldIndex("location_id")
 
-    // rules 1-3: spatially valid locations only
-    val validLoc = data.locations.filter(validCoords(col("lat"), col("lon")))
-      .select("location_id", "lat", "lon")
-    val validRows = validLoc.collect()
-    val valid = validRows.iterator.map(_.getLong(0)).toSet
+    // rules 4-6 in one pass over the merged groups: keep the keys whose
+    // endpoint ids are present and spatially valid, and mark those ids
+    val referenced = mutable.LongMap.empty[Boolean] // valid location id -> referenced
+    validLocs.foreach(r => referenced(r.getLong(locId)) = false)
+    def valid(r: Row, i: Int) = !r.isNullAt(i) && referenced.contains(r.getLong(i))
+    val counts = Map.newBuilder[(Long, Long, Int, Int), Long]
+    var origRentals, cleanRentals = 0L
+    val it = groups(data.rentals).iterator
+    while (it.hasNext) {
+      val (r, n) = it.next()
+      origRentals += n
+      if (valid(r, 0) && valid(r, 1)) {
+        val (a, b) = (r.getLong(0), r.getLong(1))
+        counts += (a, b, r.getInt(2), r.getInt(3)) -> n
+        cleanRentals += n
+        referenced(a) = true
+        referenced(b) = true
+      }
+    }
+    val locations = validLocs.filter(r => referenced(r.getLong(locId)))
 
-    // rentals per location pair, day and hour; a missing id stays a key
-    val rentalGroups = groups(data.rentals)
-
-    // rules 4-5: both endpoint ids present and valid locations
-    val counts = rentalGroups.iterator.collect {
-      case (r, n) if !r.isNullAt(0) && !r.isNullAt(1) && valid(r.getLong(0)) && valid(r.getLong(1)) =>
-        (r.getLong(0), r.getLong(1), r.getInt(2), r.getInt(3)) -> n
-    }.toMap
-
-    // rule 6: drop locations no surviving rental references
-    val referenced = counts.keysIterator.flatMap { case (a, b, _, _) => Iterator(a, b) }.toSet
-    val locations = data.locations.sparkSession.createDataFrame(
-      validRows.filter(r => referenced(r.getLong(0))).toSeq.asJava, validLoc.schema)
-
-    val locIds = validLoc.select(col("location_id"))
+    val locIds = local(validLocs.toSeq, data.locations).select(col("location_id"))
     val rentals = data.rentals
       .filter(col("rental_location_id").isNotNull && col("return_location_id").isNotNull)
       .join(locIds.withColumnRenamed("location_id", "rental_location_id"), Seq("rental_location_id"), "left_semi")
       .join(locIds.withColumnRenamed("location_id", "return_location_id"), Seq("return_location_id"), "left_semi")
       .select("rental_id", "bike_id", "start_ts", "end_ts", "rental_location_id", "return_location_id")
 
-    CleanData(stations, locations, rentals, counts, origRentals = rentalGroups.values.sum)
+    val table1 = Report(rawStations.length.toLong, stations.length.toLong, origRentals, cleanRentals,
+                        rawLocations.length.toLong, locations.length.toLong)
+    CleanData(local(stations.toSeq, data.stations), local(locations.toSeq, data.locations),
+              rentals, counts.result(), table1)
   }
 
   /** Rentals per (rental_location_id, return_location_id, day, hour), each
@@ -111,14 +128,9 @@ object Cleaning {
       .collect().groupMapReduce(_._1)(_._2)(_ + _)
   }
 
-  /** Original-vs-cleaned counts (the content of Table I): the rentals from
-    * `clean`'s counts, the stations and locations from collecting their
-    * local relations. Starts no Spark job on generated data.
+  /** Original-vs-cleaned counts (the content of Table I), as `clean`
+    * counted them: runs no query.
     */
-  def report(data: MobyData, cleaned: CleanData): Report =
-    Report(origStations = data.stations.collect().length.toLong,
-           cleanStations = cleaned.stations.collect().length.toLong,
-           origRentals = cleaned.origRentals, cleanRentals = cleaned.counts.values.sum,
-           origLocations = data.locations.collect().length.toLong,
-           cleanLocations = cleaned.locations.collect().length.toLong)
+  def report(@unused("perfbench/Harness.scala passes it") data: MobyData, cleaned: CleanData): Report =
+    cleaned.table1
 }

@@ -96,7 +96,7 @@ class PipelineSpec extends SparkSpec {
     }
   }
 
-  test("the AllTables unit starts at most 2 Spark jobs: the cleaning aggregate") {
+  test("the AllTables unit starts 1 Spark job: the cleaning aggregate") {
     val jobs = jobsStarted {
       val r = Pipeline.run(spark, cfg)
       assert(r.candidate.stats.nTrips > 0 && r.selected.stats.totalTrips > 0)

@@ -1,7 +1,7 @@
 package repro.data
 
 import java.sql.Timestamp
-import org.apache.spark.sql.Row
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions.{col, expr, hour, rand, spark_partition_id}
 import org.apache.spark.sql.types.{LongType, StructField, StructType, TimestampType}
 import repro.{Oracle, SparkSpec}
@@ -14,6 +14,30 @@ class CleaningSpec extends SparkSpec {
   private lazy val c = repro.TestFixtures.counts
   private lazy val cleaned = repro.TestFixtures.cleaned
   private lazy val rpt = repro.TestFixtures.report
+
+  /** Rules 1–3 in Scala: every row of `table` has a lat and a lon inside
+    * Dublin and on land.
+    */
+  private def spatiallyValid(table: DataFrame): Boolean = {
+    import MobySchema._
+    table.select("lat", "lon").collect().forall(r => !r.isNullAt(0) && !r.isNullAt(1) &&
+      inDublin(r.getDouble(0), r.getDouble(1)) && onLand(r.getDouble(0), r.getDouble(1)))
+  }
+
+  /** Rules 1–3 in DuckDB SQL over the lat and lon of table alias `t`, from
+    * the `MobySchema` constants. The oracle stores every column as text,
+    * so each value is cast to a double, the constants from their exact
+    * decimal strings.
+    */
+  private def validSql(t: String): String = {
+    import MobySchema._
+    def num(x: Double) = s"CAST('$x' AS DOUBLE)"
+    val (lat, lon) = (s"CAST($t.lat AS DOUBLE)", s"CAST($t.lon AS DOUBLE)")
+    s"""$lat IS NOT NULL AND $lon IS NOT NULL
+       |  AND $lat BETWEEN ${num(DublinLatMin)} AND ${num(DublinLatMax)}
+       |  AND $lon BETWEEN ${num(DublinLonMin)} AND ${num(DublinLonMax)}
+       |  AND NOT ($lon > ${num(SeaLonMin)} AND $lat > ${num(SeaLatMin)} AND $lat < ${num(SeaLatMax)})""".stripMargin
+  }
 
   test("cleaning removes exactly the injected bad stations") {
     assert(rpt.origStations === c.totalStations)
@@ -30,7 +54,7 @@ class CleaningSpec extends SparkSpec {
     assert(rpt.cleanLocations === c.goodLocations)
   }
 
-  test("report starts at most 2 Spark jobs and equals the six tables' counts") {
+  test("report starts no Spark job and equals the six tables' counts") {
     val jobs = jobsStarted(Cleaning.report(data, cleaned))
     assert(jobs === 0, s"report started $jobs jobs")
     assert(rpt === Cleaning.Report(
@@ -141,21 +165,18 @@ class CleaningSpec extends SparkSpec {
   }
 
   test("all cleaned locations are spatially valid") {
-    import spark.implicits._
-    assert(cleaned.locations.filter(!Cleaning.validCoords($"lat", $"lon")).count() === 0L)
-    assert(cleaned.locations.filter($"lat".isNull || $"lon".isNull).count() === 0L)
+    assert(spatiallyValid(cleaned.locations))
   }
 
   test("all cleaned stations are spatially valid") {
-    import spark.implicits._
-    assert(cleaned.stations.filter(!Cleaning.validCoords($"lat", $"lon")).count() === 0L)
+    assert(spatiallyValid(cleaned.stations))
   }
 
-  // rules 1-3 have two encodings: the Catalyst predicate cleaning filters
-  // with and the plain Scala one the generator places rows with
-  test("validCoords agrees with inDublin && onLand on edges, nulls and random points") {
+  test("clean keeps the points DuckDB's rules 1-3 keep (oracle)") {
     import spark.implicits._
     import MobySchema._
+    // each box and sea bound, a hair inside and outside, nulls, and random
+    // points over and around the box
     val eps = 1e-9
     def around(edges: Double*) = edges.flatMap(e => Seq(e - eps, e, e + eps))
     val lats = around(DublinLatMin, DublinLatMax, SeaLatMin, SeaLatMax) :+ 53.30
@@ -165,20 +186,24 @@ class CleaningSpec extends SparkSpec {
     val points = (for (la <- lats; lo <- lons) yield (la, lo)) ++ random
     val cases = points.map { case (la, lo) => (Option(la), Option(lo)) } ++
       Seq((None, Some(-6.26)), (Some(53.30), None), (None, None))
-    val got = cases.zipWithIndex.map { case ((la, lo), i) => (i.toLong, la, lo) }
-      .toDF("id", "lat", "lon")
-      .select($"id", Cleaning.validCoords($"lat", $"lon"))
-      .as[(Long, Boolean)].collect().toMap
-    assert(got.size === cases.size)
-    for (((la, lo), i) <- cases.zipWithIndex) {
-      val expected = (la, lo) match {
-        case (Some(a), Some(b)) => inDublin(a, b) && onLand(a, b)
-        case _ => false
-      }
-      assert(got(i.toLong) === expected, s"lat=$la lon=$lo")
-    }
+    val coords = cases.zipWithIndex.map { case ((la, lo), i) => (i.toLong, la, lo) }
+    val at = Timestamp.valueOf("2020-01-08 08:15:00")
+    val toy = MobySchema.MobyData(
+      stations = coords.map { case (i, la, lo) => (i, s"Station $i", la, lo) }
+        .toDF("station_id", "station_name", "lat", "lon"),
+      locations = coords.toDF("location_id", "lat", "lon"),
+      // one round trip at every location, so rules 4-6 keep each valid one
+      rentals = coords.map { case (i, _, _) => (i, 0, at, at, i, i) }
+        .toDF("rental_id", "bike_id", "start_ts", "end_ts", "rental_location_id", "return_location_id"),
+      locationMeta = spark.emptyDataFrame)
+    val c = Cleaning.clean(toy)
+    val query = s"SELECT p.id FROM points p WHERE ${validSql("p")}"
+    val all = coords.toDF("id", "lat", "lon")
+    Oracle.assertEquivalent(c.stations.select($"station_id" as "id"), query, "points" -> all)
+    Oracle.assertEquivalent(c.locations.select($"location_id" as "id"), query, "points" -> all)
     // the inputs reach both answers, inside the box and across the sea
-    assert(got.values.toSet === Set(true, false))
+    val kept = c.table1.cleanStations
+    assert(kept > 0 && kept < cases.size, s"$kept of ${cases.size} kept")
   }
 
   test("cleaning is idempotent") {
@@ -191,39 +216,34 @@ class CleaningSpec extends SparkSpec {
 
   test("cleaned rental count matches a DuckDB reference query (oracle)") {
     import spark.implicits._
-    // express rules 3-6 relationally in DuckDB over the raw tables and
+    // express rules 1-5 relationally in DuckDB over the raw tables and
     // compare with the pipeline's surviving rental ids
     val sparkSurvivors = cleaned.rentals.select($"rental_id")
-    val locForDuck = data.locations
-      .withColumn("valid", Cleaning.validCoords($"lat", $"lon").cast("int"))
-      .select($"location_id", $"valid")
     Oracle.assertEquivalent(sparkSurvivors,
-      """SELECT r.rental_id FROM rentals r
-        |JOIN locations lo ON r.rental_location_id = lo.location_id AND lo.valid = '1'
-        |JOIN locations ld ON r.return_location_id = ld.location_id AND ld.valid = '1'
-        |WHERE r.rental_location_id IS NOT NULL AND r.return_location_id IS NOT NULL""".stripMargin,
+      s"""WITH valid AS (SELECT l.location_id FROM locations l WHERE ${validSql("l")})
+         |SELECT r.rental_id FROM rentals r
+         |JOIN valid lo ON r.rental_location_id = lo.location_id
+         |JOIN valid ld ON r.return_location_id = ld.location_id
+         |WHERE r.rental_location_id IS NOT NULL AND r.return_location_id IS NOT NULL""".stripMargin,
       "rentals" -> data.rentals.select($"rental_id", $"rental_location_id", $"return_location_id"),
-      "locations" -> locForDuck)
+      "locations" -> data.locations.select($"location_id", $"lat", $"lon"))
   }
 
   test("cleaned location set matches a DuckDB reference query (oracle)") {
     import spark.implicits._
-    val locForDuck = data.locations
-      .withColumn("valid", Cleaning.validCoords($"lat", $"lon").cast("int"))
-      .select($"location_id", $"valid")
     Oracle.assertEquivalent(cleaned.locations.select($"location_id"),
-      """WITH surv AS (
-        |  SELECT r.* FROM rentals r
-        |  JOIN locations lo ON r.rental_location_id = lo.location_id AND lo.valid = '1'
-        |  JOIN locations ld ON r.return_location_id = ld.location_id AND ld.valid = '1'
-        |  WHERE r.rental_location_id IS NOT NULL AND r.return_location_id IS NOT NULL)
-        |SELECT DISTINCT l.location_id FROM locations l
-        |JOIN (SELECT rental_location_id AS location_id FROM surv
-        |      UNION SELECT return_location_id FROM surv) refs
-        |  ON l.location_id = refs.location_id
-        |WHERE l.valid = '1'""".stripMargin,
+      s"""WITH valid AS (SELECT l.location_id FROM locations l WHERE ${validSql("l")}),
+         |surv AS (
+         |  SELECT r.* FROM rentals r
+         |  JOIN valid lo ON r.rental_location_id = lo.location_id
+         |  JOIN valid ld ON r.return_location_id = ld.location_id
+         |  WHERE r.rental_location_id IS NOT NULL AND r.return_location_id IS NOT NULL)
+         |SELECT DISTINCT v.location_id FROM valid v
+         |JOIN (SELECT rental_location_id AS location_id FROM surv
+         |      UNION SELECT return_location_id FROM surv) refs
+         |  ON v.location_id = refs.location_id""".stripMargin,
       "rentals" -> data.rentals.select($"rental_id", $"rental_location_id", $"return_location_id"),
-      "locations" -> locForDuck)
+      "locations" -> data.locations.select($"location_id", $"lat", $"lon"))
   }
 
   test("counts scale linearly-ish with sf") {
