@@ -34,16 +34,17 @@ object CandidateGraph {
     *                in plain Scala. Day and hour are those of the cleaned
     *                counts, taken in the session time zone when
     *                `Cleaning.clean` ran.
-    * @param rentals the cleaned rentals, which [[trips]] relabels
+    * @param rentals the cleaned rentals, which [[trips]] relabels, built on
+    *                its first call
     */
   final case class Result(nodes: Seq[Node], nodeOf: Map[Long, Long],
-                          counts: Map[(Long, Long, Int, Int), Long], rentals: DataFrame) {
+                          counts: Map[(Long, Long, Int, Int), Long], rentals: () => DataFrame) {
 
     /** (src_node, dst_node) → trips. */
     lazy val edgeTrips: Map[(Long, Long), Long] = TemporalGraphs.pairCounts(counts)
 
     /** rental_id, src_node, dst_node, start_ts: a lazy view. */
-    lazy val trips: DataFrame = TemporalGraphs.trips(rentals, nodeOf)
+    lazy val trips: DataFrame = TemporalGraphs.trips(rentals(), nodeOf)
 
     /** Table II, counted in plain Scala. */
     def stats: Stats = {
@@ -80,16 +81,15 @@ object CandidateGraph {
   }
 
   /** Build the candidate graph from cleaned data, on the driver: the
-    * geometry runs over the collected stations and locations, and `counts`
-    * relabels the cleaned (location, location, day, hour) counts through
-    * location → node. Starts no Spark job when the cleaned tables are local
-    * relations.
+    * geometry runs over the cleaned station and location points, in id
+    * order, and `counts` relabels the cleaned (location, location, day,
+    * hour) counts through location → node. Starts no Spark job.
     */
   def build(@scala.annotation.unused("perfbench/Harness.scala passes it") spark: SparkSession,
             data: CleanData, preAssignM: Double = 50.0, hacCutM: Double = 100.0,
             centroidSepM: Double = 50.0): Result = {
-    val stations = SpatialGrid.collectSorted(data.stations, "station_id")
-    val locs = SpatialGrid.collectSorted(data.locations, "location_id")
+    val stations = data.stationPoints.sortBy(_._1)
+    val locs = data.locationPoints.sortBy(_._1)
     val near = nearest(locs, stations)
 
     // locations within preAssignM join their station; the rest are clustered
@@ -101,6 +101,6 @@ object CandidateGraph {
     val nodes = stations.toSeq.map { case (s, la, lo) => Node(s, la, lo, isStation = true) } ++
       clusters.map(c => Node(c.id + CandidateOffset, c.lat, c.lon, isStation = false))
 
-    Result(nodes, nodeOf, TemporalGraphs.relabel(data.counts, nodeOf), data.rentals)
+    Result(nodes, nodeOf, TemporalGraphs.relabel(data.counts, nodeOf), () => data.rentals)
   }
 }

@@ -27,7 +27,8 @@ object Pipeline {
   /** Run generation through station selection (Tables I–III). The one
     * Spark job is `Cleaning.clean`'s count of the rentals, folded per
     * partition without a shuffle and merged on the driver; every later
-    * stage reads those counts on the driver.
+    * stage reads those counts on the driver, and no stage runs a Spark SQL
+    * query.
     */
   def run(spark: SparkSession, cfg: Config = Config()): Result = {
     val raw = MobySynth.generate(spark, cfg.sf, cfg.seed)

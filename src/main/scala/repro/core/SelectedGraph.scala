@@ -21,10 +21,11 @@ object SelectedGraph {
     * @param counts  (src_node, dst_node, day, hour) → redirected trips; every
     *                post-selection table and all three temporal graphs are
     *                plain Scala projections of it
-    * @param rentals the cleaned rentals, which [[trips]] relabels
+    * @param rentals the cleaned rentals, which [[trips]] relabels, built on
+    *                its first call
     */
   final case class Result(finals: Seq[CandidateGraph.Node], nodeOf: Map[Long, Long],
-                          counts: Map[(Long, Long, Int, Int), Long], rentals: DataFrame) {
+                          counts: Map[(Long, Long, Int, Int), Long], rentals: () => DataFrame) {
 
     /** (src_node, dst_node) → trips. */
     lazy val edgeTrips: Map[(Long, Long), Long] = TemporalGraphs.pairCounts(counts)
@@ -33,12 +34,12 @@ object SelectedGraph {
     lazy val isNew: Map[Long, Boolean] = finals.map(n => n.id -> !n.isStation).toMap
 
     /** node_id, lat, lon, is_station, is_new: `finals` as a local relation. */
-    lazy val nodes: DataFrame = rentals.sparkSession
+    lazy val nodes: DataFrame = rentals().sparkSession
       .createDataFrame(finals.map(n => (n.id, n.lat, n.lon, n.isStation, !n.isStation)))
       .toDF("node_id", "lat", "lon", "is_station", "is_new")
 
     /** rental_id, src_node, dst_node, start_ts (redirected): a lazy view. */
-    lazy val trips: DataFrame = TemporalGraphs.trips(rentals, nodeOf)
+    lazy val trips: DataFrame = TemporalGraphs.trips(rentals(), nodeOf)
 
     def stats: Stats = {
       def grp(newFlag: Boolean): GroupStats = {

@@ -1,5 +1,6 @@
 package repro.core
 
+import java.time.{Instant, ZoneId}
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
@@ -44,10 +45,19 @@ object TemporalGraphs {
     case THour => hour(startTs)
   }
 
+  /** The [[TDay]] and [[THour]] [[sliceCol]]s in Scala: (day, hour) of
+    * `at` in `zone`, Monday = 0. `Cleaning.clean` slices the rentals with
+    * it, in the session time zone.
+    */
+  def dayHour(at: Instant, zone: ZoneId): (Int, Int) = {
+    val t = at.atZone(zone)
+    (t.getDayOfWeek.getValue - 1, t.getHour)
+  }
+
   /** Trips per directed node pair, day and hour: (src, dst, day, hour) → n,
     * one Spark aggregate over `trips`; day and hour are [[sliceCol]]s,
     * computed in Spark under the session time zone. The pipeline's own
-    * counts come from `Cleaning.clean`'s count of the same slices,
+    * counts come from `Cleaning.clean`'s count of the same slices ([[dayHour]]),
     * [[relabel]]led location → node by the candidate graph and node → final
     * node by the selected graph; this one serves [[edges]] and the tests.
     */

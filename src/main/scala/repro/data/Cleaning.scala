@@ -1,12 +1,14 @@
 package repro.data
 
+import java.time.ZoneId
 import scala.annotation.unused
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.catalyst.util.DateTimeUtils
 import org.apache.spark.sql.types.StructType
-import repro.core.TemporalGraphs.{sliceCol, TDay, THour}
+import repro.core.TemporalGraphs
 import MobySchema._
 
 /** The paper's §III cleaning pipeline (produces Table I).
@@ -21,111 +23,134 @@ import MobySchema._
   *
   * Stations are filtered with the spatial validity rules (1–3): the paper
   * drops 95 → 92 stations. Rules 1–3 have one encoding, `MobySchema.inDublin`
-  * and `onLand` on the collected rows (`spatiallyValid`).
+  * and `onLand` on the generated rows (`spatiallyValid`), and rules 4–5 one,
+  * the valid-id test `survives`.
   *
-  * The rentals are read by one Spark job without a shuffle: each partition
-  * counts its rentals per (rental location, return location, day, hour)
-  * and the driver merges the partial counts ([[groups]]). Rules 4–6 run on
-  * the driver in one pass over the merged groups.
+  * The rentals are read by one Spark-core job without a shuffle and
+  * without a query: each partition keeps its rentals that pass rules 4–5
+  * and counts them per (rental location, return location, day, hour), and
+  * the driver merges the partial counts ([[groups]]) and applies rule 6.
   */
 object Cleaning {
 
-  /** @param stations     the valid stations, a local relation
-    * @param locations    the valid locations the surviving rentals reference,
-    *                     a local relation
-    * @param rentals      the surviving rentals: a lazy view over the raw
-    *                     rentals (two semi-joins) for tests and callers that
-    *                     want rows; the pipeline reads `counts` instead
-    * @param counts       (rental_location_id, return_location_id, day, hour)
-    *                     → surviving rentals; day and hour are
-    *                     [[repro.core.TemporalGraphs.sliceCol]]s, taken in the
-    *                     session time zone when `clean` ran
-    * @param table1       the row counts before and after cleaning (Table I)
+  /** @param raw            the generated tables `clean` read
+    * @param stationPoints  (station_id, lat, lon) of the valid stations, by id
+    * @param locationPoints (location_id, lat, lon) of the valid locations the
+    *                       surviving rentals reference, by id
+    * @param counts         (rental_location_id, return_location_id, day, hour)
+    *                       → surviving rentals; day and hour are
+    *                       [[repro.core.TemporalGraphs.dayHour]], taken in
+    *                       the session time zone when `clean` ran
+    * @param table1         the row counts before and after cleaning (Table I)
     */
-  final case class CleanData(stations: DataFrame, locations: DataFrame, rentals: DataFrame,
+  final case class CleanData(raw: MobyData, stationPoints: Array[(Long, Double, Double)],
+                             locationPoints: Array[(Long, Double, Double)],
                              counts: Map[(Long, Long, Int, Int), Long], table1: Report) {
     /** rentals before cleaning */
     def origRentals: Long = table1.origRentals
+
+    /** The kept stations' raw rows, in their order, as a DataFrame built on first use. */
+    lazy val stations: DataFrame = kept(raw.stationRows, stationPoints, StationSchema)
+
+    /** The kept locations' raw rows, in their order, as a DataFrame built on first use. */
+    lazy val locations: DataFrame = kept(raw.locationRows, locationPoints, LocationSchema)
+
+    /** The surviving rentals, a lazy view for tests and callers that want
+      * rows: the raw rentals whose two location ids are kept locations.
+      * The pipeline reads `counts` instead.
+      */
+    lazy val rentals: DataFrame = {
+      val valid = idSet(locationPoints)
+      raw.spark.createDataFrame(raw.rentalRows.filter(survives(_, valid)), RentalSchema)
+    }
+
+    private def kept(rows: Seq[Row], points: Array[(Long, Double, Double)], schema: StructType) = {
+      val ids = idSet(points)
+      raw.spark.createDataFrame(rows.filter(r => ids.contains(r.getLong(0))).asJava, schema)
+    }
   }
 
   final case class Report(origStations: Long, cleanStations: Long,
                           origRentals: Long, cleanRentals: Long,
                           origLocations: Long, cleanLocations: Long)
 
-  /** Rules 1–3: the `rows` of a table with `schema` whose lat and lon are
-    * present, inside Dublin and on land, in their order.
+  private val RentalId = RentalSchema.fieldIndex("rental_id")
+  private val Start = RentalSchema.fieldIndex("start_ts")
+  private val From = RentalSchema.fieldIndex("rental_location_id")
+  private val To = RentalSchema.fieldIndex("return_location_id")
+
+  /** Rules 1–3: (id, lat, lon) of the `rows` of a table with `schema`, id
+    * first, whose lat and lon are present, inside Dublin and on land, by id.
     */
-  private def spatiallyValid(rows: Array[Row], schema: StructType): Array[Row] = {
+  private def spatiallyValid(rows: Seq[Row], schema: StructType): Array[(Long, Double, Double)] = {
     val (lat, lon) = (schema.fieldIndex("lat"), schema.fieldIndex("lon"))
-    rows.filter(r => !r.isNullAt(lat) && !r.isNullAt(lon) &&
-      inDublin(r.getDouble(lat), r.getDouble(lon)) && onLand(r.getDouble(lat), r.getDouble(lon)))
+    rows.iterator
+      .filter(r => !r.isNullAt(lat) && !r.isNullAt(lon) &&
+        inDublin(r.getDouble(lat), r.getDouble(lon)) && onLand(r.getDouble(lat), r.getDouble(lon)))
+      .map(r => (r.getLong(0), r.getDouble(lat), r.getDouble(lon)))
+      .toArray.sortBy(_._1)
   }
 
-  /** Apply all six rules. The one Spark job is [[groups]] over the raw
-    * rentals, and it writes no shuffle; the generated stations and
-    * locations are local relations, so collecting them starts none.
+  /** The ids of `points`, each mapped to false. */
+  private def idSet(points: Array[(Long, Double, Double)]): mutable.LongMap[Boolean] = {
+    val ids = new mutable.LongMap[Boolean](points.length)
+    points.foreach(p => ids(p._1) = false)
+    ids
+  }
+
+  /** Rules 4–5: both location ids of rental row `r` are present and in `valid`. */
+  private def survives(r: Row, valid: mutable.LongMap[Boolean]): Boolean =
+    !r.isNullAt(From) && !r.isNullAt(To) && valid.contains(r.getLong(From)) && valid.contains(r.getLong(To))
+
+  /** Apply all six rules. Rules 1–3 run on the generated rows; the one
+    * Spark job is [[groups]] over the raw rentals, which applies rules 4–5
+    * with the valid location ids and writes no shuffle; rule 6 keeps the
+    * valid locations that a counted rental references. Runs no query.
     */
   def clean(data: MobyData): CleanData = {
-    val spark = data.locations.sparkSession
-    def local(rows: Seq[Row], like: DataFrame) = spark.createDataFrame(rows.asJava, like.schema)
-    val rawStations = data.stations.collect()
-    val rawLocations = data.locations.collect()
-    val stations = spatiallyValid(rawStations, data.stations.schema)
-    val validLocs = spatiallyValid(rawLocations, data.locations.schema)
-    val locId = data.locations.schema.fieldIndex("location_id")
+    val stations = spatiallyValid(data.stationRows, StationSchema)
+    val validLocs = spatiallyValid(data.locationRows, LocationSchema)
+    // valid location id -> referenced by a surviving rental; the tasks get
+    // it unmarked, and the driver marks it after the job
+    val referenced = idSet(validLocs)
+    val zone = DateTimeUtils.getZoneId(data.spark.conf.get("spark.sql.session.timeZone"))
+    val (origRentals, counts) = groups(data.rentalRows, referenced, zone)
+    counts.keysIterator.foreach { case (a, b, _, _) => referenced(a) = true; referenced(b) = true }
+    val locations = validLocs.filter(p => referenced(p._1))
 
-    // rules 4-6 in one pass over the merged groups: keep the keys whose
-    // endpoint ids are present and spatially valid, and mark those ids
-    val referenced = mutable.LongMap.empty[Boolean] // valid location id -> referenced
-    validLocs.foreach(r => referenced(r.getLong(locId)) = false)
-    def valid(r: Row, i: Int) = !r.isNullAt(i) && referenced.contains(r.getLong(i))
-    val counts = Map.newBuilder[(Long, Long, Int, Int), Long]
-    var origRentals, cleanRentals = 0L
-    val it = groups(data.rentals).iterator
-    while (it.hasNext) {
-      val (r, n) = it.next()
-      origRentals += n
-      if (valid(r, 0) && valid(r, 1)) {
-        val (a, b) = (r.getLong(0), r.getLong(1))
-        counts += (a, b, r.getInt(2), r.getInt(3)) -> n
-        cleanRentals += n
-        referenced(a) = true
-        referenced(b) = true
-      }
-    }
-    val locations = validLocs.filter(r => referenced(r.getLong(locId)))
-
-    val locIds = local(validLocs.toSeq, data.locations).select(col("location_id"))
-    val rentals = data.rentals
-      .filter(col("rental_location_id").isNotNull && col("return_location_id").isNotNull)
-      .join(locIds.withColumnRenamed("location_id", "rental_location_id"), Seq("rental_location_id"), "left_semi")
-      .join(locIds.withColumnRenamed("location_id", "return_location_id"), Seq("return_location_id"), "left_semi")
-      .select("rental_id", "bike_id", "start_ts", "end_ts", "rental_location_id", "return_location_id")
-
-    val table1 = Report(rawStations.length.toLong, stations.length.toLong, origRentals, cleanRentals,
-                        rawLocations.length.toLong, locations.length.toLong)
-    CleanData(local(stations.toSeq, data.stations), local(locations.toSeq, data.locations),
-              rentals, counts.result(), table1)
+    val table1 = Report(data.stationRows.size.toLong, stations.length.toLong, origRentals,
+                        counts.valuesIterator.sum, data.locationRows.size.toLong, locations.length.toLong)
+    CleanData(data, stations, locations, counts, table1)
   }
 
-  /** Rentals per (rental_location_id, return_location_id, day, hour), each
-    * key a `Row` of those four values, day and hour the
-    * [[repro.core.TemporalGraphs.sliceCol]]s under the session time zone.
-    * A `Row` equals another with the same values, nulls included, so the
-    * keys are the groups of `groupBy(...).count()`. One Spark job without
-    * a shuffle: each partition folds its rows into a local map, and the
-    * driver merges the collected partial counts.
+  /** Rules 4–5 and the count of the survivors, in one Spark job without a
+    * shuffle: each partition folds its rentals that pass rules 4–5 against
+    * `valid` into (rental_location_id, return_location_id, day, hour) → n,
+    * day and hour the [[repro.core.TemporalGraphs.dayHour]] of start_ts in
+    * `zone`, and counts every rental it reads. The driver merges the
+    * partial counts. Returns (rentals read, merged counts). A surviving
+    * rental without a start time fails the job, naming its id.
     */
-  private[data] def groups(rentals: DataFrame): Map[Row, Long] = {
-    val ts = col("start_ts")
-    rentals
-      .select(col("rental_location_id"), col("return_location_id"), sliceCol(TDay, ts), sliceCol(THour, ts))
-      .rdd.mapPartitions { rows =>
-        val partial = mutable.HashMap.empty[Row, Long]
-        rows.foreach(r => partial(r) = partial.getOrElse(r, 0L) + 1)
-        partial.iterator
+  private[data] def groups(rentals: RDD[Row], valid: mutable.LongMap[Boolean],
+                           zone: ZoneId): (Long, Map[(Long, Long, Int, Int), Long]) = {
+    val partials = rentals.mapPartitions { rows =>
+      val partial = mutable.HashMap.empty[(Long, Long, Int, Int), Long]
+      var read = 0L
+      while (rows.hasNext) {
+        val r = rows.next()
+        read += 1
+        if (survives(r, valid)) {
+          require(!r.isNullAt(Start), s"rental ${r.get(RentalId)} passes rules 1-5 but has no start_ts")
+          val (day, hour) = TemporalGraphs.dayHour(r.getTimestamp(Start).toInstant, zone)
+          val key = (r.getLong(From), r.getLong(To), day, hour)
+          partial(key) = partial.getOrElse(key, 0L) + 1
+        }
       }
-      .collect().groupMapReduce(_._1)(_._2)(_ + _)
+      Iterator.single((read, partial))
+    }.collect()
+    val merged = mutable.HashMap.empty[(Long, Long, Int, Int), Long]
+    for ((_, partial) <- partials; (key, n) <- partial) merged(key) = merged.getOrElse(key, 0L) + n
+    (partials.iterator.map(_._1).sum, merged.toMap)
   }
 
   /** Original-vs-cleaned counts (the content of Table I), as `clean`

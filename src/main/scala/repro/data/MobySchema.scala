@@ -1,6 +1,9 @@
 package repro.data
 
-import org.apache.spark.sql.DataFrame
+import scala.jdk.CollectionConverters._
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.types._
 
 /** Schemas and geography constants for the synthetic Moby Bikes dataset.
   *
@@ -72,18 +75,46 @@ object MobySchema {
   def onLand(lat: Double, lon: Double): Boolean =
     !(lon > SeaLonMin && lat > SeaLatMin && lat < SeaLatMax)
 
-  /** Generated dataset bundle.
+  private def id(name: String) = StructField(name, LongType, nullable = false)
+  private val LatLon = Seq(StructField("lat", DoubleType), StructField("lon", DoubleType))
+
+  /** station_id, station_name, lat, lon */
+  val StationSchema: StructType =
+    StructType(id("station_id") +: StructField("station_name", StringType) +: LatLon)
+
+  /** location_id, lat, lon */
+  val LocationSchema: StructType = StructType(id("location_id") +: LatLon)
+
+  /** rental_id, bike_id, start_ts, end_ts, rental_location_id, return_location_id */
+  val RentalSchema: StructType = StructType(Seq(
+    id("rental_id"), StructField("bike_id", IntegerType),
+    StructField("start_ts", TimestampType), StructField("end_ts", TimestampType),
+    StructField("rental_location_id", LongType), StructField("return_location_id", LongType)))
+
+  /** location_id, cls ("station"/"hotspot"), anchor_idx, region, block, archetype */
+  val LocationMetaSchema: StructType = StructType(Seq(
+    id("location_id"), StructField("cls", StringType, nullable = false), id("anchor_idx"),
+    StructField("region", StringType), StructField("block", StringType),
+    StructField("archetype", StringType)))
+
+  /** Generated dataset bundle: the stations, locations and location meta
+    * as rows on the driver, the rentals as an RDD of rows. Each table
+    * also reads as a DataFrame with its schema's columns, built on first
+    * use; the pipeline reads the rows.
     *
-    * @param stations     station_id, station_name, lat, lon (dirty rows incl.)
-    * @param locations    location_id, lat, lon (dirty rows incl.)
-    * @param rentals      rental_id, bike_id, start_ts, end_ts,
-    *                     rental_location_id, return_location_id (dirty incl.)
-    * @param locationMeta generator-internal ground truth for tests:
-    *                     location_id, cls ("station"/"hotspot"), anchor_idx,
-    *                     region, block, archetype (good locations only)
+    * @param stationRows  [[StationSchema]] rows, dirty rows included
+    * @param locationRows [[LocationSchema]] rows, dirty rows included
+    * @param rentalRows   [[RentalSchema]] rows, dirty rows included
+    * @param metaRows     generator-internal ground truth for tests, as
+    *                     [[LocationMetaSchema]] rows (good locations only)
     */
-  final case class MobyData(stations: DataFrame, locations: DataFrame,
-                            rentals: DataFrame, locationMeta: DataFrame)
+  final case class MobyData(spark: SparkSession, stationRows: Seq[Row], locationRows: Seq[Row],
+                            rentalRows: RDD[Row], metaRows: Seq[Row]) {
+    lazy val stations: DataFrame = spark.createDataFrame(stationRows.asJava, StationSchema)
+    lazy val locations: DataFrame = spark.createDataFrame(locationRows.asJava, LocationSchema)
+    lazy val rentals: DataFrame = spark.createDataFrame(rentalRows, RentalSchema)
+    lazy val locationMeta: DataFrame = spark.createDataFrame(metaRows.asJava, LocationMetaSchema)
+  }
 
   /** Row-count calibration: at sf=1 these reproduce the paper's Table I
     * exactly (95→92 stations, 14,239→14,156 locations, 62,324→61,872

@@ -3,11 +3,9 @@ package repro.data
 import java.sql.Timestamp
 import java.time.LocalDate
 import scala.collection.mutable
-import scala.jdk.CollectionConverters._
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{Row, SparkSession}
 import org.apache.spark.sql.catalyst.expressions.XXH64
 import org.apache.spark.sql.catalyst.util.DateTimeUtils
-import org.apache.spark.sql.types._
 import org.apache.spark.unsafe.types.UTF8String
 import repro.geo.Haversine
 import MobySchema._
@@ -35,8 +33,9 @@ import MobySchema._
   * in one pass over plain arrays on the driver, with Spark's own XXH64, so
   * every uniform equals the SQL expression `pmod(xxhash64(seed, salt, id),
   * 1000003) / 1000003.0`. A good rental starts at midnight, in the session
-  * time zone read at the call, plus its drawn seconds. Every table is a
-  * local relation: no Spark job runs here.
+  * time zone read at the call, plus its drawn seconds. The stations,
+  * locations and location meta stay rows on the driver, and the rentals
+  * are `parallelize`d into an RDD: no Spark job and no query runs here.
   */
 object MobySynth {
 
@@ -187,6 +186,12 @@ object MobySynth {
   private val DominantArchetypeP = 0.85
   private val NWeeks = 88 // Mondays 2020-01-06 .. 2021-09-06, all trips < 2021-09-19
 
+  /** Most rentals in one partition of the rentals' RDD. The rows travel
+    * inside the tasks, Java-serialized at about 105 bytes each (sf=1), and
+    * Spark warns of a task over 1000 KiB.
+    */
+  private val RowsPerSlice = 4096
+
   /** Seed of Spark's `xxhash64` SQL function. */
   private val XxSeed = 42L
 
@@ -238,10 +243,6 @@ object MobySynth {
   def generate(spark: SparkSession, sf: Double = 1.0, seed: Long = 7L): MobyData = {
     val c = counts(sf)
     def u(salt: Int, keys: Long*): Double = uniform(seed, salt, keys: _*)
-    def table(rows: Seq[Row], fields: StructField*): DataFrame =
-      spark.createDataFrame(rows.asJava, StructType(fields))
-    def idField(name: String) = StructField(name, LongType, nullable = false)
-    val latLon = Seq(StructField("lat", DoubleType), StructField("lon", DoubleType))
 
     val anchorSeq = anchors(c)
     val nStations = c.goodStations
@@ -255,8 +256,6 @@ object MobySynth {
       Row(nStations + 1, "Station BAD-sea", 53.320, -6.080), // Dublin Bay
       Row(nStations + 2, "Station BAD-nocoord", null, null),
     )
-    val stations = table(goodStations ++ badStations,
-      idField("station_id") +: StructField("station_name", StringType) +: latLon: _*)
 
     // ---------------- locations ----------------
     // Location ids below c.stationLocations scatter around stations, the
@@ -325,8 +324,6 @@ object MobySynth {
       }
       orphan ++ outside ++ sea ++ noCoord
     }
-
-    val locations = table(goodLocations.toSeq ++ badLocations, idField("location_id") +: latLon: _*)
 
     // ---------------- rentals ----------------
     val dest = destinations(c, anchorSeq)
@@ -429,15 +426,11 @@ object MobySynth {
       }
       outside ++ sea ++ noCoord ++ missing ++ dangling
     }
-    val rentals = table(goodRentalRows ++ badRentals,
-      idField("rental_id"), StructField("bike_id", IntegerType),
-      StructField("start_ts", TimestampType), StructField("end_ts", TimestampType),
-      StructField("rental_location_id", LongType), StructField("return_location_id", LongType))
+    val sc = spark.sparkContext
+    val rentalRows = goodRentalRows ++ badRentals
+    val rentals = sc.parallelize(rentalRows,
+      math.max(sc.defaultParallelism, (rentalRows.size + RowsPerSlice - 1) / RowsPerSlice))
 
-    val locationMeta = table(meta.toSeq, idField("location_id"), StructField("cls", StringType, nullable = false),
-      idField("anchor_idx"), StructField("region", StringType), StructField("block", StringType),
-      StructField("archetype", StringType))
-
-    MobyData(stations, locations, rentals, locationMeta)
+    MobyData(spark, goodStations ++ badStations, goodLocations.toSeq ++ badLocations, rentals, meta.toSeq)
   }
 }

@@ -1,7 +1,11 @@
 package repro
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.types.StructType
 import repro.core._
 import repro.data.{Cleaning, MobySynth}
+import repro.data.MobySchema._
 
 /** Shared, lazily-computed pipeline artifacts at the standard unit-test
   * scale (sf=0.05, seed=7). Suites run sequentially in one forked JVM
@@ -25,4 +29,16 @@ object TestFixtures {
   lazy val basic = Pipeline.communities(spark, selected, TemporalGraphs.TNull)
   lazy val day = Pipeline.communities(spark, selected, TemporalGraphs.TDay)
   lazy val hourly = Pipeline.communities(spark, selected, TemporalGraphs.THour)
+
+  /** A `MobyData` over the rows of DataFrames with the generator's columns:
+    * the stations and locations collected, the rentals' RDD and no
+    * location meta.
+    */
+  def mobyData(stations: DataFrame, locations: DataFrame, rentals: DataFrame): MobyData = {
+    def inOrder(df: DataFrame, like: StructType) =
+      df.select(like.fieldNames.toIndexedSeq.map(col): _*)
+    MobyData(spark, inOrder(stations, StationSchema).collect().toSeq,
+             inOrder(locations, LocationSchema).collect().toSeq,
+             inOrder(rentals, RentalSchema).rdd, Seq.empty)
+  }
 }

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.data.MobySynth
@@ -63,9 +62,10 @@ class CandidateGraphSpec extends SparkSpec {
   }
 
   test("the candidate graph does not depend on row order or partitioning") {
-    def shuffled(df: DataFrame) = df.repartition(7).orderBy(rand(3))
-    val other = CandidateGraph.build(spark, cleaned.copy(stations = shuffled(cleaned.stations),
-      locations = shuffled(cleaned.locations), rentals = shuffled(cleaned.rentals)))
+    val rnd = new scala.util.Random(3)
+    def shuffled(points: Array[(Long, Double, Double)]) = rnd.shuffle(points.toSeq).toArray
+    val other = CandidateGraph.build(spark, cleaned.copy(stationPoints = shuffled(cleaned.stationPoints),
+      locationPoints = shuffled(cleaned.locationPoints)))
     assert(other.nodes.sortBy(_.id) === cand.nodes.sortBy(_.id))
     assert(other.edgeTrips === cand.edgeTrips)
     assert(other.nodeOf === cand.nodeOf)

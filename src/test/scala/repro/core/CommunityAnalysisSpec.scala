@@ -21,7 +21,7 @@ class CommunityAnalysisSpec extends SparkSpec {
   private lazy val toy = SelectedGraph.Result(
     toyNodes.map { case (id, lat, lon, isStation, _) => CandidateGraph.Node(id, lat, lon, isStation) },
     Map.empty, toyTrips.groupMapReduce { case (_, s, d) => (s, d, 0, 10) }(_ => 1L)(_ + _),
-    spark.emptyDataFrame)
+    () => spark.emptyDataFrame)
 
   private val assign = Map(1L -> 1L, 2L -> 1L, 3L -> 3L, 4L -> 3L, 5L -> 5L)
 

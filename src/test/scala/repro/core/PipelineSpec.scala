@@ -106,6 +106,17 @@ class PipelineSpec extends SparkSpec {
     assert(jobs === 1, s"the unit started $jobs jobs")
   }
 
+  test("the AllTables unit runs no Spark SQL query") {
+    val queries = sqlExecutions {
+      val r = Pipeline.run(spark, cfg)
+      val (candidate, selected) = (r.candidate.stats, r.selected.stats)
+      assert(candidate.nTrips > 0 && selected.totalTrips > 0)
+      for (g <- Seq(TemporalGraphs.TNull, TemporalGraphs.TDay, TemporalGraphs.THour))
+        Pipeline.communities(spark, r.selected, g)
+    }
+    assert(queries === 0, s"the unit ran $queries Spark SQL queries")
+  }
+
   test("pipeline is deterministic end to end") {
     val res2 = Pipeline.run(spark, cfg)
     assert(res2.selection.selected.map(_.nodeId) === res.selection.selected.map(_.nodeId))

@@ -1,6 +1,7 @@
 package repro.core
 
 import java.sql.Timestamp
+import java.time.{Instant, ZoneId}
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 
@@ -34,6 +35,36 @@ class TemporalGraphsSpec extends SparkSpec {
     import spark.implicits._
     val s = toyTrips.select(sliceCol(TNull, $"start_ts") as "s").distinct().as[Int].collect()
     assert(s.toSeq === Seq(0))
+  }
+
+  test("dayHour equals the TDay and THour sliceCols near DST changes and on random instants") {
+    import spark.implicits._
+    val zones = Seq("UTC", "Europe/Dublin", "America/Los_Angeles")
+    val (from, until) = (Instant.parse("2020-01-01T00:00:00Z"), Instant.parse("2022-01-01T00:00:00Z"))
+    def changes(zone: String): Seq[Instant] = {
+      val rules = ZoneId.of(zone).getRules
+      Iterator.unfold(from)(t => Option(rules.nextTransition(t)).map(_.getInstant)
+        .filter(_.isBefore(until)).map(i => (i, i))).toSeq
+    }
+    val dst = zones.flatMap(changes)
+    assert(dst.size === 8, dst) // spring and autumn of 2020 and 2021, in Dublin and Los Angeles
+    // every 15 minutes within 2 h of each change, and 1,000 seeded instants
+    val near = dst.flatMap(t => (-8 to 8).map(k => t.plusSeconds(k * 900L)))
+    val rnd = new scala.util.Random(17)
+    val seconds = until.getEpochSecond - from.getEpochSecond
+    val random = Seq.fill(1000)(from.plusSeconds((rnd.nextDouble() * seconds).toLong))
+    val stamps = (near ++ random).map(Timestamp.from).toDF("ts")
+    val zoneKey = "spark.sql.session.timeZone"
+    val sessionZone = spark.conf.get(zoneKey)
+    try for (zone <- zones) {
+      spark.conf.set(zoneKey, zone)
+      val rows = stamps.select($"ts", sliceCol(TDay, $"ts"), sliceCol(THour, $"ts")).collect()
+      assert(rows.length === near.size + 1000)
+      val wrong = rows.filter { r =>
+        dayHour(r.getTimestamp(0).toInstant, ZoneId.of(zone)) != ((r.getInt(1), r.getInt(2)))
+      }
+      assert(wrong.isEmpty, s"$zone: ${wrong.take(5).mkString(", ")}")
+    } finally spark.conf.set(zoneKey, sessionZone)
   }
 
   test("slice: TDay maps Monday to 0 and Sunday to 6") {

@@ -1,10 +1,12 @@
 package repro.data
 
 import java.sql.Timestamp
+import scala.collection.mutable
+import org.apache.spark.SparkException
 import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.functions.{col, expr, hour, rand, spark_partition_id}
-import org.apache.spark.sql.types.{LongType, StructField, StructType, TimestampType}
-import repro.{Oracle, SparkSpec}
+import org.apache.spark.sql.catalyst.util.DateTimeUtils
+import org.apache.spark.sql.functions.{col, expr, hour, spark_partition_id}
+import repro.{Oracle, SparkSpec, TestFixtures}
 import repro.core.TemporalGraphs.{sliceCol, TDay, THour}
 
 /** Tests for the §III cleaning pipeline (Table I). */
@@ -96,11 +98,14 @@ class CleaningSpec extends SparkSpec {
     assert(data.rentals.filter($"rental_location_id".isNotNull)
       .join(locIds.withColumnRenamed("location_id", "rental_location_id"), Seq("rental_location_id"), "left_anti")
       .count() > 0)
+    // repartition(7) deals the rows out from a position seeded by the
+    // partition index; each new partition is then shuffled with its own seed
     val layouts = Seq(
-      "one partition" -> data.rentals.coalesce(1),
-      "7 partitions, shuffled" -> data.rentals.repartition(7).orderBy(rand(3)))
+      "one partition" -> data.rentalRows.coalesce(1),
+      "7 partitions, shuffled" -> data.rentalRows.repartition(7)
+        .mapPartitionsWithIndex((i, rows) => new scala.util.Random(3L + i).shuffle(rows.toVector).iterator))
     for ((name, rentals) <- layouts) {
-      val raw = data.copy(rentals = rentals)
+      val raw = data.copy(rentalRows = rentals)
       val c = Cleaning.clean(raw)
       assert(c.counts === cleaned.counts, name)
       assert(c.origRentals === cleaned.origRentals, name)
@@ -108,33 +113,53 @@ class CleaningSpec extends SparkSpec {
     }
   }
 
-  test("groups merges a key split across partitions and keeps null ids and times as keys") {
+  test("groups merges split keys and applies rules 4-5") {
     val at = Timestamp.valueOf("2020-01-08 08:15:00")
-    val rows = Seq[(java.lang.Long, java.lang.Long, Timestamp)](
+    val toy = Seq[(java.lang.Long, java.lang.Long, Timestamp)](
       (1L, 2L, at), (1L, null, at), (3L, 4L, at), (null, null, null),
       (1L, 2L, new Timestamp(at.getTime + 60000)), (null, 2L, at), (1L, null, at),
-      (3L, 4L, new Timestamp(at.getTime + 3600000)), (1L, 2L, at)
-    ).map { case (a, b, t) => Row(a, b, t) }
-    val schema = StructType(Seq(StructField("rental_location_id", LongType),
-      StructField("return_location_id", LongType), StructField("start_ts", TimestampType)))
-    val rentals = spark.createDataFrame(spark.sparkContext.parallelize(rows, 3), schema)
-    val ts = col("start_ts")
-    val slices = Seq(col("rental_location_id"), col("return_location_id"), sliceCol(TDay, ts), sliceCol(THour, ts))
+      (3L, 4L, new Timestamp(at.getTime + 3600000)), (1L, 2L, at))
+    val rows = toy.zipWithIndex.map { case ((a, b, t), i) => Row(i.toLong, 1, t, t, a, b) }
+    val rentals = spark.createDataFrame(spark.sparkContext.parallelize(rows, 3), MobySchema.RentalSchema)
+    val (from, to, ts) = (col("rental_location_id"), col("return_location_id"), col("start_ts"))
+    val slices = Seq(from, to, sliceCol(TDay, ts), sliceCol(THour, ts))
 
     // (1, 2, Wednesday, 8) has rows in the first and last partitions
-    val split = Row(1L, 2L, 2, 8)
+    val split = (1L, 2L, 2, 8)
     val parts = rentals.select((slices :+ spark_partition_id()): _*).collect()
-      .filter(r => Row.fromSeq(r.toSeq.init) == split).map(_.getInt(4)).distinct
+      .filter(r => r.toSeq.init == split.productIterator.toSeq).map(_.getInt(4)).distinct
     assert(parts.length > 1, parts.mkString(","))
 
-    val reference = rentals.groupBy(slices: _*).count().collect()
-      .map(r => Row.fromSeq(r.toSeq.init) -> r.getLong(4)).toMap
-    val got = Cleaning.groups(rentals)
-    assert(got === reference)
-    assert(got(split) === 3L)
-    assert(got(Row(1L, null, 2, 8)) === 2L)
-    assert(got(Row(null, null, null, null)) === 1L)
-    assert(got.values.sum === rows.length.toLong)
+    val zone = DateTimeUtils.getZoneId(spark.conf.get("spark.sql.session.timeZone"))
+    // rule 4 drops the four rows with a null id; with 3 not valid, rule 5
+    // drops the two (3, 4) rows as well
+    for ((valid, kept) <- Seq(Seq(1L, 2L, 3L, 4L) -> 5L, Seq(1L, 2L, 4L) -> 3L)) {
+      val reference = rentals
+        .filter(from.isNotNull && to.isNotNull && from.isin(valid: _*) && to.isin(valid: _*))
+        .groupBy(slices: _*).count().collect()
+        .map(r => (r.getLong(0), r.getLong(1), r.getInt(2), r.getInt(3)) -> r.getLong(4)).toMap
+      val (read, got) = Cleaning.groups(rentals.rdd, mutable.LongMap.from(valid.map(_ -> false)), zone)
+      assert(got === reference, valid)
+      assert(got(split) === 3L, valid)
+      assert(got.values.sum === kept, valid)
+      assert(read === rows.length.toLong, valid)
+    }
+  }
+
+  test("clean fails naming the rental when a rental that passes rules 1-5 has no start time") {
+    import spark.implicits._
+    val at = Timestamp.valueOf("2020-01-08 08:15:00")
+    val rentals = Seq[(Long, Int, Timestamp, Timestamp, java.lang.Long, java.lang.Long)](
+      (10L, 1, at, at, 1L, 2L), (11L, 1, null, at, 2L, 1L), (12L, 1, null, null, null, 1L))
+    def toy(keep: Long => Boolean) = TestFixtures.mobyData(
+      stations = Seq((1L, "Station 1", 53.34, -6.26)).toDF("station_id", "station_name", "lat", "lon"),
+      locations = Seq((1L, 53.34, -6.26), (2L, 53.35, -6.27)).toDF("location_id", "lat", "lon"),
+      rentals = rentals.filter(r => keep(r._1))
+        .toDF("rental_id", "bike_id", "start_ts", "end_ts", "rental_location_id", "return_location_id"))
+    val e = intercept[SparkException](Cleaning.clean(toy(_ => true)))
+    assert(e.getMessage.contains("rental 11 passes rules 1-5 but has no start_ts"), e.getMessage)
+    // rule 4 drops rental 12 before its start time is read
+    assert(Cleaning.clean(toy(_ != 11L)).table1.cleanRentals === 1L)
   }
 
   test("cleaned rentals have no null endpoint ids") {
@@ -188,14 +213,13 @@ class CleaningSpec extends SparkSpec {
       Seq((None, Some(-6.26)), (Some(53.30), None), (None, None))
     val coords = cases.zipWithIndex.map { case ((la, lo), i) => (i.toLong, la, lo) }
     val at = Timestamp.valueOf("2020-01-08 08:15:00")
-    val toy = MobySchema.MobyData(
+    val toy = TestFixtures.mobyData(
       stations = coords.map { case (i, la, lo) => (i, s"Station $i", la, lo) }
         .toDF("station_id", "station_name", "lat", "lon"),
       locations = coords.toDF("location_id", "lat", "lon"),
       // one round trip at every location, so rules 4-6 keep each valid one
       rentals = coords.map { case (i, _, _) => (i, 0, at, at, i, i) }
-        .toDF("rental_id", "bike_id", "start_ts", "end_ts", "rental_location_id", "return_location_id"),
-      locationMeta = spark.emptyDataFrame)
+        .toDF("rental_id", "bike_id", "start_ts", "end_ts", "rental_location_id", "return_location_id"))
     val c = Cleaning.clean(toy)
     val query = s"SELECT p.id FROM points p WHERE ${validSql("p")}"
     val all = coords.toDF("id", "lat", "lon")
@@ -207,8 +231,7 @@ class CleaningSpec extends SparkSpec {
   }
 
   test("cleaning is idempotent") {
-    val again = Cleaning.clean(MobySchema.MobyData(
-      cleaned.stations, cleaned.locations, cleaned.rentals, data.locationMeta))
+    val again = Cleaning.clean(TestFixtures.mobyData(cleaned.stations, cleaned.locations, cleaned.rentals))
     assert(again.stations.count() === cleaned.stations.count())
     assert(again.locations.count() === cleaned.locations.count())
     assert(again.rentals.count() === cleaned.rentals.count())
