@@ -32,8 +32,7 @@ object CandidateGraph {
     * @param counts  (src_node, dst_node, day, hour) → trips: Table II, the
     *                degrees of Algorithm 1 and the selected graph read it
     *                in plain Scala. Day and hour are those of the cleaned
-    *                counts, taken in the session time zone when
-    *                `Cleaning.clean` ran.
+    *                counts, taken in the configured zone (default UTC).
     * @param rentals the cleaned rentals, which [[trips]] relabels, built on
     *                its first call
     */

@@ -47,7 +47,7 @@ object TemporalGraphs {
 
   /** The [[TDay]] and [[THour]] [[sliceCol]]s in Scala: (day, hour) of
     * `at` in `zone`, Monday = 0. `Cleaning.clean` slices the rentals with
-    * it, in the session time zone.
+    * it, in the configured zone (default UTC).
     */
   def dayHour(at: Instant, zone: ZoneId): (Int, Int) = {
     val t = at.atZone(zone)

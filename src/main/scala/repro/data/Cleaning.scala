@@ -4,9 +4,9 @@ import java.time.ZoneId
 import scala.annotation.unused
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.catalyst.util.DateTimeUtils
 import org.apache.spark.sql.types.StructType
 import repro.core.TemporalGraphs
 import MobySchema._
@@ -24,12 +24,14 @@ import MobySchema._
   * Stations are filtered with the spatial validity rules (1–3): the paper
   * drops 95 → 92 stations. Rules 1–3 have one encoding, `MobySchema.inDublin`
   * and `onLand` on the generated rows (`spatiallyValid`), and rules 4–5 one,
-  * the valid-id test `survives`.
+  * the valid-id test `survives`: a binary search of the sorted valid ids.
   *
   * The rentals are read by one Spark-core job without a shuffle and
   * without a query: each partition keeps its rentals that pass rules 4–5
   * and counts them per (rental location, return location, day, hour), and
   * the driver merges the partial counts ([[groups]]) and applies rule 6.
+  * The tasks get the valid ids as one broadcast, so a task does not grow
+  * with the number of locations.
   */
 object Cleaning {
 
@@ -39,8 +41,8 @@ object Cleaning {
     *                       surviving rentals reference, by id
     * @param counts         (rental_location_id, return_location_id, day, hour)
     *                       → surviving rentals; day and hour are
-    *                       [[repro.core.TemporalGraphs.dayHour]], taken in
-    *                       the session time zone when `clean` ran
+    *                       [[repro.core.TemporalGraphs.dayHour]] in the
+    *                       configured zone (default UTC), `raw.zone`
     * @param table1         the row counts before and after cleaning (Table I)
     */
   final case class CleanData(raw: MobyData, stationPoints: Array[(Long, Double, Double)],
@@ -60,13 +62,13 @@ object Cleaning {
       * The pipeline reads `counts` instead.
       */
     lazy val rentals: DataFrame = {
-      val valid = idSet(locationPoints)
+      val valid = locationPoints.map(_._1)
       raw.spark.createDataFrame(raw.rentalRows.filter(survives(_, valid)), RentalSchema)
     }
 
     private def kept(rows: Seq[Row], points: Array[(Long, Double, Double)], schema: StructType) = {
-      val ids = idSet(points)
-      raw.spark.createDataFrame(rows.filter(r => ids.contains(r.getLong(0))).asJava, schema)
+      val ids = points.map(_._1)
+      raw.spark.createDataFrame(rows.filter(r => contains(ids, r.getLong(0))).asJava, schema)
     }
   }
 
@@ -91,32 +93,31 @@ object Cleaning {
       .toArray.sortBy(_._1)
   }
 
-  /** The ids of `points`, each mapped to false. */
-  private def idSet(points: Array[(Long, Double, Double)]): mutable.LongMap[Boolean] = {
-    val ids = new mutable.LongMap[Boolean](points.length)
-    points.foreach(p => ids(p._1) = false)
-    ids
-  }
+  /** `id` is in the ascending `ids`. */
+  private def contains(ids: Array[Long], id: Long): Boolean = java.util.Arrays.binarySearch(ids, id) >= 0
 
-  /** Rules 4–5: both location ids of rental row `r` are present and in `valid`. */
-  private def survives(r: Row, valid: mutable.LongMap[Boolean]): Boolean =
-    !r.isNullAt(From) && !r.isNullAt(To) && valid.contains(r.getLong(From)) && valid.contains(r.getLong(To))
+  /** Rules 4–5: both location ids of rental row `r` are present and in the ascending `valid`. */
+  private def survives(r: Row, valid: Array[Long]): Boolean =
+    !r.isNullAt(From) && !r.isNullAt(To) && contains(valid, r.getLong(From)) && contains(valid, r.getLong(To))
 
   /** Apply all six rules. Rules 1–3 run on the generated rows; the one
     * Spark job is [[groups]] over the raw rentals, which applies rules 4–5
     * with the valid location ids and writes no shuffle; rule 6 keeps the
-    * valid locations that a counted rental references. Runs no query.
+    * valid locations that a counted rental references. Day and hour are
+    * read in `data.zone`. Runs no query.
     */
   def clean(data: MobyData): CleanData = {
     val stations = spatiallyValid(data.stationRows, StationSchema)
     val validLocs = spatiallyValid(data.locationRows, LocationSchema)
-    // valid location id -> referenced by a surviving rental; the tasks get
-    // it unmarked, and the driver marks it after the job
-    val referenced = idSet(validLocs)
-    val zone = DateTimeUtils.getZoneId(data.spark.conf.get("spark.sql.session.timeZone"))
-    val (origRentals, counts) = groups(data.rentalRows, referenced, zone)
-    counts.keysIterator.foreach { case (a, b, _, _) => referenced(a) = true; referenced(b) = true }
-    val locations = validLocs.filter(p => referenced(p._1))
+    val validIds = validLocs.map(_._1)
+    val (origRentals, counts) = groups(data.rentalRows, validIds, data.zone)
+    // rule 6: whether each valid location is referenced by a counted rental
+    val referenced = new Array[Boolean](validIds.length)
+    counts.keysIterator.foreach { case (a, b, _, _) =>
+      referenced(java.util.Arrays.binarySearch(validIds, a)) = true
+      referenced(java.util.Arrays.binarySearch(validIds, b)) = true
+    }
+    val locations = validLocs.zip(referenced).collect { case (p, true) => p }
 
     val table1 = Report(data.stationRows.size.toLong, stations.length.toLong, origRentals,
                         counts.valuesIterator.sum, data.locationRows.size.toLong, locations.length.toLong)
@@ -124,34 +125,65 @@ object Cleaning {
   }
 
   /** Rules 4–5 and the count of the survivors, in one Spark job without a
-    * shuffle: each partition folds its rentals that pass rules 4–5 against
-    * `valid` into (rental_location_id, return_location_id, day, hour) → n,
-    * day and hour the [[repro.core.TemporalGraphs.dayHour]] of start_ts in
-    * `zone`, and counts every rental it reads. The driver merges the
-    * partial counts. Returns (rentals read, merged counts). A surviving
-    * rental without a start time fails the job, naming its id.
+    * shuffle: [[partialCounts]] with the ascending `valid` ids broadcast.
+    * The driver merges the partial counts. Returns (rentals read, merged
+    * counts). A surviving rental without a start time fails the job,
+    * naming its id.
     */
-  private[data] def groups(rentals: RDD[Row], valid: mutable.LongMap[Boolean],
+  private[data] def groups(rentals: RDD[Row], valid: Array[Long],
                            zone: ZoneId): (Long, Map[(Long, Long, Int, Int), Long]) = {
-    val partials = rentals.mapPartitions { rows =>
+    val ids = rentals.sparkContext.broadcast(valid)
+    val partials = try partialCounts(rentals, ids, zone).collect() finally ids.destroy()
+    val merged = mutable.HashMap.empty[(Long, Long, Int, Int), Long]
+    for (p <- partials; i <- p.n.indices) {
+      val key = (p.from(i), p.to(i), p.dayHour(i) / 24, p.dayHour(i) % 24)
+      merged(key) = merged.getOrElse(key, 0L) + p.n(i)
+    }
+    (partials.iterator.map(_.read).sum, merged.toMap)
+  }
+
+  /** One partition's share of [[groups]]: the rentals it read, and its
+    * counts as parallel primitive arrays, (from(i), to(i), dayHour(i) / 24,
+    * dayHour(i) % 24) → n(i). A task result is Java-serialized, and arrays
+    * go in bulk: a map of boxed tuples took 50–250 ms per partition to
+    * serialize and read back in a cold JVM at sf=0.25.
+    */
+  private[data] final class Partial(val read: Long, val from: Array[Long], val to: Array[Long],
+                                    val dayHour: Array[Int], val n: Array[Long]) extends Serializable
+
+  /** The cleaning job's one stage: each partition folds its rentals that
+    * pass rules 4–5 against the ascending `valid` ids into
+    * (rental_location_id, return_location_id, day, hour) → n, day and hour
+    * the [[repro.core.TemporalGraphs.dayHour]] of start_ts in `zone`, counts
+    * every rental it reads and returns one [[Partial]].
+    */
+  private[data] def partialCounts(rentals: RDD[Row], valid: Broadcast[Array[Long]],
+                                  zone: ZoneId): RDD[Partial] =
+    rentals.mapPartitions { rows =>
+      val ids = valid.value
       val partial = mutable.HashMap.empty[(Long, Long, Int, Int), Long]
       var read = 0L
       while (rows.hasNext) {
         val r = rows.next()
         read += 1
-        if (survives(r, valid)) {
+        if (survives(r, ids)) {
           require(!r.isNullAt(Start), s"rental ${r.get(RentalId)} passes rules 1-5 but has no start_ts")
           val (day, hour) = TemporalGraphs.dayHour(r.getTimestamp(Start).toInstant, zone)
           val key = (r.getLong(From), r.getLong(To), day, hour)
           partial(key) = partial.getOrElse(key, 0L) + 1
         }
       }
-      Iterator.single((read, partial))
-    }.collect()
-    val merged = mutable.HashMap.empty[(Long, Long, Int, Int), Long]
-    for ((_, partial) <- partials; (key, n) <- partial) merged(key) = merged.getOrElse(key, 0L) + n
-    (partials.iterator.map(_._1).sum, merged.toMap)
-  }
+      val (from, to, dayHour, n) = (new Array[Long](partial.size), new Array[Long](partial.size),
+                                    new Array[Int](partial.size), new Array[Long](partial.size))
+      val slots = partial.iterator
+      var i = 0
+      while (slots.hasNext) {
+        val ((a, b, day, hour), k) = slots.next()
+        from(i) = a; to(i) = b; dayHour(i) = day * 24 + hour; n(i) = k
+        i += 1
+      }
+      Iterator.single(new Partial(read, from, to, dayHour, n))
+    }
 
   /** Original-vs-cleaned counts (the content of Table I), as `clean`
     * counted them: runs no query.

@@ -1,5 +1,6 @@
 package repro.data
 
+import java.time.{ZoneId, ZoneOffset}
 import scala.jdk.CollectionConverters._
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
@@ -107,9 +108,10 @@ object MobySchema {
     * @param rentalRows   [[RentalSchema]] rows, dirty rows included
     * @param metaRows     generator-internal ground truth for tests, as
     *                     [[LocationMetaSchema]] rows (good locations only)
+    * @param zone         the zone the trips' days and hours are read in
     */
   final case class MobyData(spark: SparkSession, stationRows: Seq[Row], locationRows: Seq[Row],
-                            rentalRows: RDD[Row], metaRows: Seq[Row]) {
+                            rentalRows: RDD[Row], metaRows: Seq[Row], zone: ZoneId = ZoneOffset.UTC) {
     lazy val stations: DataFrame = spark.createDataFrame(stationRows.asJava, StationSchema)
     lazy val locations: DataFrame = spark.createDataFrame(locationRows.asJava, LocationSchema)
     lazy val rentals: DataFrame = spark.createDataFrame(rentalRows, RentalSchema)

@@ -1,11 +1,10 @@
 package repro.data
 
 import java.sql.Timestamp
-import java.time.LocalDate
+import java.time.{Instant, LocalDate, ZoneId, ZoneOffset}
 import scala.collection.mutable
 import org.apache.spark.sql.{Row, SparkSession}
 import org.apache.spark.sql.catalyst.expressions.XXH64
-import org.apache.spark.sql.catalyst.util.DateTimeUtils
 import org.apache.spark.unsafe.types.UTF8String
 import repro.geo.Haversine
 import MobySchema._
@@ -28,14 +27,16 @@ import MobySchema._
   *   - dirty rows calibrated so cleaning reproduces Table I exactly at
   *     sf=1: 3 bad stations, 83 bad locations, 452 bad rentals.
   *
-  * Everything is a pure function of (sf, seed): each row's randomness is
-  * xxhash64 over (seed, salt, row id), never `rand()`. The tables are drawn
-  * in one pass over plain arrays on the driver, with Spark's own XXH64, so
-  * every uniform equals the SQL expression `pmod(xxhash64(seed, salt, id),
-  * 1000003) / 1000003.0`. A good rental starts at midnight, in the session
-  * time zone read at the call, plus its drawn seconds. The stations,
-  * locations and location meta stay rows on the driver, and the rentals
-  * are `parallelize`d into an RDD: no Spark job and no query runs here.
+  * Everything is a pure function of (sf, seed, zone): each row's
+  * randomness is xxhash64 over (seed, salt, row id), never `rand()`, with
+  * Spark's own XXH64, so every uniform equals the SQL expression
+  * `pmod(xxhash64(seed, salt, id), 1000003) / 1000003.0`. A good rental
+  * starts at midnight, in the configured zone (default UTC), plus its
+  * drawn seconds. The stations, locations and location meta are drawn in
+  * one pass over plain arrays and stay rows on the driver. The good
+  * rentals are drawn in the tasks of whichever job reads them, from
+  * samplers broadcast once ([[GoodRentals]]), and the dirty rentals are
+  * `parallelize`d next to them: no Spark job and no query runs here.
   */
 object MobySynth {
 
@@ -186,9 +187,9 @@ object MobySynth {
   private val DominantArchetypeP = 0.85
   private val NWeeks = 88 // Mondays 2020-01-06 .. 2021-09-06, all trips < 2021-09-19
 
-  /** Most rentals in one partition of the rentals' RDD. The rows travel
-    * inside the tasks, Java-serialized at about 105 bytes each (sf=1), and
-    * Spark warns of a task over 1000 KiB.
+  /** Most dirty rentals in one partition of the rentals' RDD. They are the
+    * only rows that travel inside the tasks, Java-serialized at about 105
+    * bytes each, and Spark warns of a task over 1000 KiB.
     */
   private val RowsPerSlice = 4096
 
@@ -200,10 +201,14 @@ object MobySynth {
     * 1000003.0` for a bigint seed, an int salt and bigint keys, chained
     * through Spark's own XXH64.
     */
-  private[data] def uniform(seed: Long, salt: Int, keys: Long*): Double = {
-    val h = keys.foldLeft(XXH64.hashInt(salt, XXH64.hashLong(seed, XxSeed)))((h, k) => XXH64.hashLong(k, h))
-    math.floorMod(h, 1000003L) / 1000003.0
-  }
+  private[data] def uniform(seed: Long, salt: Int, keys: Long*): Double =
+    unit(keys.foldLeft(salted(seed, salt))((h, k) => XXH64.hashLong(k, h)))
+
+  /** Spark's xxhash64 chain over (seed, salt), which each uniform continues over its keys. */
+  private def salted(seed: Long, salt: Int): Long = XXH64.hashInt(salt, XXH64.hashLong(seed, XxSeed))
+
+  /** `pmod(h, 1000003) / 1000003.0` */
+  private def unit(h: Long): Double = math.floorMod(h, 1000003L) / 1000003.0
 
   /** Spark's `xxhash64(s)` of one string. */
   private[data] def hashString(s: String): Long =
@@ -224,9 +229,11 @@ object MobySynth {
     * last k with lo(k) <= u, found by binary search, so k is drawn with
     * probability weights(k) / weights.sum.
     */
-  private[data] final class Cdf(weights: Seq[Double]) {
-    private val total = weights.sum
-    val lo: Array[Double] = weights.scanLeft(0.0)(_ + _).init.map(_ / total).toArray
+  private[data] final class Cdf(weights: Seq[Double]) extends Serializable {
+    val lo: Array[Double] = {
+      val total = weights.sum
+      weights.scanLeft(0.0)(_ + _).init.map(_ / total).toArray
+    }
 
     def draw(u: Double): Int = {
       var a = 0
@@ -239,8 +246,110 @@ object MobySynth {
     }
   }
 
-  /** Generate the full dataset. See class doc; sf=1 ≈ the paper's volume. */
-  def generate(spark: SparkSession, sf: Double = 1.0, seed: Long = 7L): MobyData = {
+  private val DayCdf = DayWeights.map { case (a, ws) => a -> new Cdf(ws) }
+  private val HourCdf = HourWeights.map { case (a, ws) => a -> new Cdf(ws) }
+
+  /** Midnight (epoch seconds) in `zone` of each day from 2020-01-06. */
+  private def midnights(zone: ZoneId): Array[Long] =
+    Array.tabulate(NWeeks * 7)(d => LocalDate.of(2020, 1, 6).plusDays(d.toLong).atStartOfDay(zone).toEpochSecond)
+
+  /** The good rentals' sampler: everything a good rental's draw reads,
+    * shipped to the tasks once. Rental `rid` is a pure function of (seed,
+    * salt, rid) over these samplers, and so is its pre-mirror plan, which
+    * the next rental's mirror reads.
+    *
+    * @param locAnchor    each good location's position in `anchorSeq`
+    * @param locDay       each good location's day-of-week sampler
+    * @param locHour      each good location's hour-of-day sampler
+    * @param atAnchor     each anchor's location ids, ascending
+    * @param regionCounts good locations per region
+    * @param dest         per-region destination sampler ([[destinations]])
+    * @param midnight     midnight (epoch seconds) of each day from 2020-01-06
+    */
+  private[data] final class GoodRentals(seed: Long, goodLocations: Long, anchorSeq: IndexedSeq[Anchor],
+                                        locAnchor: Array[Int], locDay: Array[Cdf], locHour: Array[Cdf],
+                                        atAnchor: Array[Array[Long]], regionCounts: Map[String, Long],
+                                        dest: Map[String, (IndexedSeq[Int], Cdf)], midnight: Array[Long])
+      extends Serializable {
+
+    // the (seed, salt) chain of each salt 0–65, hashed once: u's salts are 41–65
+    private val chain = Array.tabulate(66)(salted(seed, _))
+
+    /** `uniform(seed, salt, rid)` */
+    private def u(salt: Int, rid: Long): Double = unit(XXH64.hashLong(rid, chain(salt)))
+
+    /** Rental `rid`'s endpoint plan (origin, return) before the mirror
+      * pass, so a mirror can swap its predecessor's endpoints and the
+      * trip's clock still follows its actual origin.
+      */
+    private def plan(rid: Long): (Long, Long) = {
+      // coverage: rental i < nGoodLocations starts at location i, so rule 6
+      // (unreferenced locations) removes exactly the injected orphans.
+      val o = if (rid < goodLocations) rid else math.floor(u(41, rid) * goodLocations).toLong
+      val oa = anchorSeq(locAnchor(o.toInt))
+      val destBlock =
+        if (u(45, rid) < SameBlockP) oa.block
+        else {
+          val others = Blocks.filterNot(_ == oa.block)
+          if (u(43, rid) < CrossBlock((oa.block, others.head))) others.head else others(1)
+        }
+      // same-block trips stay in the origin's region with SameRegionP;
+      // otherwise choose a region inside the destination block by
+      // location share
+      val destRegion =
+        if (destBlock == oa.block && u(46, rid) < SameRegionP) oa.region
+        else {
+          val rs = Regions.filter(_.block == destBlock).map(_.code)
+          val cA = regionCounts.getOrElse(rs.head, 0L).toDouble
+          val cB = regionCounts.getOrElse(rs(1), 0L).toDouble
+          if (u(47, rid) < cA / math.max(1.0, cA + cB)) rs.head else rs(1)
+        }
+      val (at, cdf) = dest(destRegion)
+      val dLocs = atAnchor(at(cdf.draw(u(48, rid))))
+      val dLoc = dLocs(math.floor(u(49, rid) * dLocs.length).toInt)
+      (o, if (u(51, rid) < RoundTripP) o else dLoc)
+    }
+
+    /** The [[RentalSchema]] rows of the good rentals `ids`, which ascend.
+      *
+      * Reciprocity: half the free rentals replay the previous rental's
+      * planned trip in reverse (commute out in the morning, back in the
+      * evening). The paper's graph has directed ≈ 2 x undirected edges —
+      * most pairs are travelled both ways — which independent draws cannot
+      * produce. Coverage rentals (id < #locations) are exempt to keep rule
+      * 6 exact. A good rental starts at its drawn day's midnight plus its
+      * drawn seconds.
+      */
+    def rows(ids: Iterator[Long]): Iterator[Row] = new scala.collection.AbstractIterator[Row] {
+      // the plan of rental `lastRid`, which the next id's mirror reads
+      private var lastRid = Long.MinValue
+      private var last = (0L, 0L)
+
+      def hasNext: Boolean = ids.hasNext
+
+      def next(): Row = {
+        val rid = ids.next()
+        val own = plan(rid)
+        val mirror = rid >= goodLocations && u(65, rid) < 0.5
+        val (o, ret) = if (!mirror) own else (if (lastRid == rid - 1) last else plan(rid - 1)).swap
+        lastRid = rid
+        last = own
+        val dow = locDay(o.toInt).draw(u(53, rid))
+        val hour = locHour(o.toInt).draw(u(55, rid))
+        val week = math.floor(u(57, rid) * NWeeks).toInt
+        val start = midnight(week * 7 + dow) + hour * 3600L + math.floor(u(59, rid) * 60).toLong * 60L
+        val dur = 300L + math.floor(u(61, rid) * 35).toLong * 60L
+        Row(rid, (math.floor(u(63, rid) * 95).toLong + 1).toInt,
+            new Timestamp(start * 1000L), new Timestamp((start + dur) * 1000L), o, ret)
+      }
+    }
+  }
+
+  /** Generate the full dataset in `zone`, whose midnights the good rentals
+    * start from. See class doc; sf=1 ≈ the paper's volume.
+    */
+  def generate(spark: SparkSession, sf: Double = 1.0, seed: Long = 7L,
+               zone: ZoneId = ZoneOffset.UTC): MobyData = {
     val c = counts(sf)
     def u(salt: Int, keys: Long*): Double = uniform(seed, salt, keys: _*)
 
@@ -266,8 +375,8 @@ object MobySynth {
                         "hotspot" -> new Cdf(anchorWeights("hotspot", nHot)))
     val nLoc = c.goodLocations.toInt
     val locAnchor = new Array[Int](nLoc) // position in anchorSeq
-    val locArchetype = new Array[String](nLoc)
-    val locHarch = new Array[String](nLoc)
+    val locDay = new Array[Cdf](nLoc)
+    val locHour = new Array[Cdf](nLoc)
     // location ids of each anchor in ascending id: a location's index in
     // its anchor's list is its anchor_local rank
     val atAnchor = Array.fill(anchorSeq.size)(mutable.ArrayBuffer.empty[Long])
@@ -290,7 +399,7 @@ object MobySynth {
       val archetype =
         if (u(31, id) < DominantArchetypeP) a.archetype
         else Archetype.All(math.floor(u(33, id) * 3).toInt)
-      locHarch(i) = archetype match {
+      val hourArchetype = archetype match {
         case Archetype.Commuter =>
           if (u(35, hashString(cls), idx) < 0.5) "commuter-am" else "commuter-pm"
         case Archetype.Leisure =>
@@ -298,7 +407,8 @@ object MobySynth {
         case other => other
       }
       locAnchor(i) = g
-      locArchetype(i) = archetype
+      locDay(i) = DayCdf(archetype)
+      locHour(i) = HourCdf(hourArchetype)
       atAnchor(g) += id
       goodLocations(i) = Row(id, lat, lon)
       meta(i) = Row(id, cls, idx, a.region, a.block, archetype)
@@ -326,75 +436,17 @@ object MobySynth {
     }
 
     // ---------------- rentals ----------------
-    val dest = destinations(c, anchorSeq)
-    val dayCdf = DayWeights.map { case (a, ws) => a -> new Cdf(ws) }
-    val hourCdf = HourWeights.map { case (a, ws) => a -> new Cdf(ws) }
-
-    // endpoint plan before temporal sampling, so the mirror pass below can
-    // swap endpoints and the trip's clock still follows its actual origin
-    val nRentals = c.goodRentals.toInt
-    val planO = new Array[Long](nRentals)
-    val planRet = new Array[Long](nRentals)
-    for (i <- 0 until nRentals) {
-      val rid = i.toLong
-      // coverage: rental i < nGoodLocations starts at location i, so rule 6
-      // (unreferenced locations) removes exactly the injected orphans.
-      val o = if (rid < c.goodLocations) rid else math.floor(u(41, rid) * c.goodLocations).toLong
-      val oa = anchorSeq(locAnchor(o.toInt))
-      val destBlock =
-        if (u(45, rid) < SameBlockP) oa.block
-        else {
-          val others = Blocks.filterNot(_ == oa.block)
-          if (u(43, rid) < CrossBlock((oa.block, others.head))) others.head else others(1)
-        }
-      // same-block trips stay in the origin's region with SameRegionP;
-      // otherwise choose a region inside the destination block by
-      // location share
-      val destRegion =
-        if (destBlock == oa.block && u(46, rid) < SameRegionP) oa.region
-        else {
-          val rs = Regions.filter(_.block == destBlock).map(_.code)
-          val cA = regionCounts.getOrElse(rs.head, 0L).toDouble
-          val cB = regionCounts.getOrElse(rs(1), 0L).toDouble
-          if (u(47, rid) < cA / math.max(1.0, cA + cB)) rs.head else rs(1)
-        }
-      val (at, cdf) = dest(destRegion)
-      val dLocs = atAnchor(at(cdf.draw(u(48, rid))))
-      val dLoc = dLocs(math.floor(u(49, rid) * dLocs.size).toInt)
-      planO(i) = o
-      planRet(i) = if (u(51, rid) < RoundTripP) o else dLoc
-    }
-
-    // midnight (epoch seconds), in the session time zone, of each day from
-    // 2020-01-06: where Spark's date-to-timestamp cast puts it
-    val zone = DateTimeUtils.getZoneId(spark.conf.get("spark.sql.session.timeZone"))
-    val midnight = Array.tabulate(NWeeks * 7)(d =>
-      LocalDate.of(2020, 1, 6).plusDays(d.toLong).atStartOfDay(zone).toEpochSecond)
-    def at(epochSecond: Long) = new Timestamp(epochSecond * 1000L)
-
-    // reciprocity: half the free rentals replay the previous rental's
-    // planned trip in reverse (commute out in the morning, back in the
-    // evening). The paper's graph has directed ≈ 2 x undirected edges —
-    // most pairs are travelled both ways — which independent draws cannot
-    // produce. Coverage rentals (id < #locations) are exempt to keep rule
-    // 6 exact. The clock follows the rental's actual origin.
-    val goodRentalRows = (0 until nRentals).map { i =>
-      val rid = i.toLong
-      val mirror = rid >= c.goodLocations && u(65, rid) < 0.5
-      val o = if (mirror) planRet(i - 1) else planO(i)
-      val ret = if (mirror) planO(i - 1) else planRet(i)
-      val dow = dayCdf(locArchetype(o.toInt)).draw(u(53, rid))
-      val hour = hourCdf(locHarch(o.toInt)).draw(u(55, rid))
-      val week = math.floor(u(57, rid) * NWeeks).toInt
-      val start = midnight(week * 7 + dow) + hour * 3600L + math.floor(u(59, rid) * 60).toLong * 60L
-      val dur = 300L + math.floor(u(61, rid) * 35).toLong * 60L
-      Row(rid, (math.floor(u(63, rid) * 95).toLong + 1).toInt, at(start), at(start + dur), o, ret)
-    }
+    // the good rentals are drawn in the tasks, from samplers shipped once
+    val sc = spark.sparkContext
+    val sampler = sc.broadcast(new GoodRentals(seed, c.goodLocations, anchorSeq, locAnchor, locDay, locHour,
+      atAnchor.map(_.toArray), regionCounts, destinations(c, anchorSeq), midnights(zone)))
+    val goodRentals = sc.range(0, c.goodRentals, 1, sc.defaultParallelism)
+      .mapPartitions(ids => sampler.value.rows(ids))
 
     val badRentals = {
-      val t0 = Timestamp.valueOf("2020-06-01 10:00:00")
-      def ts(k: Long) = new Timestamp(t0.getTime + k * 60000L)
-      def ts2(k: Long) = new Timestamp(t0.getTime + k * 60000L + 900000L)
+      val t0 = Instant.parse("2020-06-01T10:00:00Z").toEpochMilli
+      def ts(k: Long) = new Timestamp(t0 + k * 60000L)
+      def ts2(k: Long) = new Timestamp(t0 + k * 60000L + 900000L)
       def goodLoc(k: Long, s: Int): Long = math.floorMod(k * 48271L + s * 1299709L + seed, c.goodLocations)
       // rental ids continue from the good rentals, block after block
       val outsideId = c.goodRentals
@@ -426,11 +478,9 @@ object MobySynth {
       }
       outside ++ sea ++ noCoord ++ missing ++ dangling
     }
-    val sc = spark.sparkContext
-    val rentalRows = goodRentalRows ++ badRentals
-    val rentals = sc.parallelize(rentalRows,
-      math.max(sc.defaultParallelism, (rentalRows.size + RowsPerSlice - 1) / RowsPerSlice))
+    val rentals = goodRentals.union(
+      sc.parallelize(badRentals, math.max(1, (badRentals.size + RowsPerSlice - 1) / RowsPerSlice)))
 
-    MobyData(spark, goodStations ++ badStations, goodLocations.toSeq ++ badLocations, rentals, meta.toSeq)
+    MobyData(spark, goodStations ++ badStations, goodLocations.toSeq ++ badLocations, rentals, meta.toSeq, zone)
   }
 }

@@ -33,6 +33,13 @@ class SourceSpec extends AnyFunSuite {
     assert(hits.isEmpty, hits.mkString("\n"))
   }
 
+  // the first read of a session's conf builds its whole Spark SQL session
+  // state, which the program otherwise never uses: the zone is an input
+  test("the program reads no session conf and touches no session state") {
+    val hits = programHits(Seq("spark.conf", ".conf.get(", "sessionState"))
+    assert(hits.isEmpty, hits.mkString("\n"))
+  }
+
   // a literal map column finds a key by scanning its entries, so a lookup
   // per row costs the map's size: two lookups per row over 62 k rows and a
   // 14 k-entry map took 2.5 s, against 0.5 s through a Scala UDF over the

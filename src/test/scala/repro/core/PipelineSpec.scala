@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.TimeZone
 import repro.SparkSpec
 import repro.community.Louvain
 
@@ -115,6 +116,43 @@ class PipelineSpec extends SparkSpec {
         Pipeline.communities(spark, r.selected, g)
     }
     assert(queries === 0, s"the unit ran $queries Spark SQL queries")
+  }
+
+  test("the AllTables unit leaves a new session's Spark SQL session state unbuilt") {
+    val session = spark.newSession()
+    val r = Pipeline.run(session, cfg)
+    for (g <- Seq(TemporalGraphs.TNull, TemporalGraphs.TDay, TemporalGraphs.THour))
+      Pipeline.communities(session, r.selected, g)
+    // the lazy val's field: null until the first read builds the state
+    val state = classOf[org.apache.spark.sql.classic.SparkSession].getDeclaredField("sessionState")
+    state.setAccessible(true)
+    assert(state.get(session) === null)
+  }
+
+  test("Tables I-VI and the counts do not depend on the JVM or session time zone") {
+    def tables(): Seq[(String, Any)] = {
+      val r = Pipeline.run(spark, cfg)
+      Seq("cleaned counts" -> r.clean.counts, "selected counts" -> r.selected.counts,
+          "Table I" -> r.report, "Table II" -> r.candidate.stats, "Table III" -> r.selected.stats) ++
+        Seq(TemporalGraphs.TNull, TemporalGraphs.TDay, TemporalGraphs.THour)
+          .map(g => s"communities ${g.name}" -> Pipeline.communities(spark, r.selected, g).summary)
+    }
+    val zoneKey = "spark.sql.session.timeZone"
+    val (jvmZone, sessionZone) = (TimeZone.getDefault, spark.conf.get(zoneKey))
+    try {
+      val byZone = for (tz <- Seq("UTC", "Europe/Dublin", "America/Los_Angeles")) yield {
+        TimeZone.setDefault(TimeZone.getTimeZone(tz))
+        spark.conf.set(zoneKey, tz)
+        tz -> tables()
+      }
+      for ((tz, t) <- byZone.tail) {
+        val moved = t.zip(byZone.head._2).collect { case ((name, a), (_, b)) if a != b => name }
+        assert(moved.isEmpty, s"$tz moved ${moved.mkString(", ")}")
+      }
+    } finally {
+      TimeZone.setDefault(jvmZone)
+      spark.conf.set(zoneKey, sessionZone)
+    }
   }
 
   test("pipeline is deterministic end to end") {

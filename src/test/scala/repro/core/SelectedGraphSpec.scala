@@ -1,5 +1,6 @@
 package repro.core
 
+import java.time.ZoneId
 import org.apache.spark.sql.functions.{expr, hour}
 import repro.{Oracle, SparkSpec}
 import repro.data.Cleaning
@@ -36,8 +37,8 @@ class SelectedGraphSpec extends SparkSpec {
     try for (tz <- Seq("UTC", "Europe/Dublin")) {
       spark.conf.set(zoneKey, tz)
       // the counts are collected when the rentals are cleaned, so clean
-      // and build afresh under this zone
-      val c = CandidateGraph.build(spark, Cleaning.clean(repro.TestFixtures.data))
+      // and build afresh in this zone; the session zone is the oracle's
+      val c = CandidateGraph.build(spark, Cleaning.clean(repro.TestFixtures.data.copy(zone = ZoneId.of(tz))))
       val explicit = c.trips
         .groupBy($"src_node", $"dst_node", expr("weekday(start_ts)") as "day", hour($"start_ts") as "hour")
         .count().as[(Long, Long, Int, Int, Long)].collect()

@@ -1,12 +1,13 @@
 package repro.data
 
 import java.sql.Timestamp
-import scala.collection.mutable
-import org.apache.spark.SparkException
+import java.time.ZoneId
+import org.apache.spark.{SparkEnv, SparkException}
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.catalyst.util.DateTimeUtils
 import org.apache.spark.sql.functions.{col, expr, hour, spark_partition_id}
 import repro.{Oracle, SparkSpec, TestFixtures}
+import MobySchema.MobyData
 import repro.core.TemporalGraphs.{sliceCol, TDay, THour}
 
 /** Tests for the §III cleaning pipeline (Table I). */
@@ -69,10 +70,11 @@ class CleaningSpec extends SparkSpec {
     val zoneKey = "spark.sql.session.timeZone"
     val zone = spark.conf.get(zoneKey)
     // Europe/Dublin moves hours (and days near midnight) against UTC; the
-    // counts are collected by clean, so each zone gets a fresh clean
+    // counts are collected by clean, so each zone gets a fresh clean, and
+    // the session zone is the oracle's
     try for (tz <- Seq("UTC", "Europe/Dublin")) {
       spark.conf.set(zoneKey, tz)
-      val c = Cleaning.clean(data)
+      val c = Cleaning.clean(data.copy(zone = ZoneId.of(tz)))
       val explicit = c.rentals
         .groupBy($"rental_location_id", $"return_location_id",
                  expr("weekday(start_ts)") as "day", hour($"start_ts") as "hour")
@@ -88,6 +90,26 @@ class CleaningSpec extends SparkSpec {
     val (jobs, shuffleBytes) = jobsAndShuffle(Cleaning.clean(raw))
     assert(jobs === 1, s"clean started $jobs jobs")
     assert(shuffleBytes === 0L, s"clean wrote $shuffleBytes shuffle bytes")
+  }
+
+  test("the cleaning job's closure and a rentals partition do not grow with sf") {
+    val serializer = SparkEnv.get.closureSerializer.newInstance()
+    def bytes(o: AnyRef): Int = serializer.serialize(o).limit()
+    // (the serialized job, as the scheduler ships its stage: the RDD with
+    // its lineage; the rentals' first partition)
+    def sizes(d: MobyData): (Int, Int) = {
+      val valid = spark.sparkContext.broadcast(d.locationRows.map(_.getLong(0)).toArray.sorted)
+      try (bytes(Cleaning.partialCounts(d.rentalRows, valid, d.zone)), bytes(d.rentalRows.partitions.head))
+      finally valid.destroy()
+    }
+    val bigger = MobySynth.generate(spark, 0.25, TestFixtures.seed)
+    assert(bigger.locationRows.size > 4 * data.locationRows.size)
+    val (small, big) = (sizes(data), sizes(bigger))
+    // Spark warns of a task over 1000 KiB
+    for ((name, s, b) <- Seq(("job", small._1, big._1), ("partition", small._2, big._2))) {
+      assert(math.abs(b - s) <= 1024, s"$name: $s bytes at sf=${TestFixtures.sf}, $b at sf=0.25")
+      assert(b < 64 * 1024, s"$name: $b bytes")
+    }
   }
 
   test("counts, origRentals and report do not depend on the rentals' partitioning") {
@@ -138,7 +160,7 @@ class CleaningSpec extends SparkSpec {
         .filter(from.isNotNull && to.isNotNull && from.isin(valid: _*) && to.isin(valid: _*))
         .groupBy(slices: _*).count().collect()
         .map(r => (r.getLong(0), r.getLong(1), r.getInt(2), r.getInt(3)) -> r.getLong(4)).toMap
-      val (read, got) = Cleaning.groups(rentals.rdd, mutable.LongMap.from(valid.map(_ -> false)), zone)
+      val (read, got) = Cleaning.groups(rentals.rdd, valid.toArray, zone)
       assert(got === reference, valid)
       assert(got(split) === 3L, valid)
       assert(got.values.sum === kept, valid)

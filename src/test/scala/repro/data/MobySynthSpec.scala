@@ -2,6 +2,7 @@ package repro.data
 
 import java.nio.charset.StandardCharsets.UTF_8
 import java.security.MessageDigest
+import java.time.ZoneId
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.TimestampType
@@ -35,33 +36,27 @@ class MobySynthSpec extends SparkSpec {
   }
 
   test("generated tables are row-identical to the pinned digests") {
-    val zoneKey = "spark.sql.session.timeZone"
-    val zone = spark.conf.get(zoneKey)
     def digests(seed: Long, tz: String): Seq[String] = {
-      spark.conf.set(zoneKey, tz)
-      val d = MobySynth.generate(spark, sf, seed)
+      val d = MobySynth.generate(spark, sf, seed, ZoneId.of(tz))
       Seq(d.stations, d.locations, d.rentals, d.locationMeta).map(digest)
     }
     // stations, locations, rentals, locationMeta at sf=0.05; stations do
-    // not depend on the seed. The dirty rentals' fixed timestamps are
-    // java.sql.Timestamp literals, read in the JVM's default zone (UTC
-    // when these were pinned).
+    // not depend on the seed. The dirty rentals start from the fixed
+    // instant 2020-06-01T10:00:00Z in every zone.
     val stations = "9c81978479ae7a878cf0c7f8814677ff7b5c003e37522dae276e07483f0d07f0"
-    try {
-      assert(digests(7L, "UTC") === Seq(stations,
-        "b527fc276045d0fc62062ef0b19331140606b954fbfdeecfb709c67f6686b798",
-        "75506a2fbec7f53c7c23d35cd494323b52d15288bb37fd304f8e33f606a217d5",
-        "e1362d34a7f4a1a652f74b5f2a52e1eee14a5c74df419747f528098cb6068c6b"))
-      assert(digests(8L, "UTC") === Seq(stations,
-        "29a26511e7d9a51c81dc931cc2c384d9d82d4ba7586d986dbbc6cd151dba83d7",
-        "d2d5df206291850813f9cbc86583db5a7c5895d966ae453990cc7bfa9a03c23c",
-        "f922fd3789a86c486d6b9dab6fb47bfe2b1d97ba76eac84fc0d28a984f7ff1f1"))
-      // the observation window has DST days in Europe/Dublin
-      assert(digests(7L, "Europe/Dublin") === Seq(stations,
-        "b527fc276045d0fc62062ef0b19331140606b954fbfdeecfb709c67f6686b798",
-        "e9e1479c7e969cf08eb0581e0ded40a07ea64b8b1dd945782fa99abcb1b3e00d",
-        "e1362d34a7f4a1a652f74b5f2a52e1eee14a5c74df419747f528098cb6068c6b"))
-    } finally spark.conf.set(zoneKey, zone)
+    assert(digests(7L, "UTC") === Seq(stations,
+      "b527fc276045d0fc62062ef0b19331140606b954fbfdeecfb709c67f6686b798",
+      "75506a2fbec7f53c7c23d35cd494323b52d15288bb37fd304f8e33f606a217d5",
+      "e1362d34a7f4a1a652f74b5f2a52e1eee14a5c74df419747f528098cb6068c6b"))
+    assert(digests(8L, "UTC") === Seq(stations,
+      "29a26511e7d9a51c81dc931cc2c384d9d82d4ba7586d986dbbc6cd151dba83d7",
+      "d2d5df206291850813f9cbc86583db5a7c5895d966ae453990cc7bfa9a03c23c",
+      "f922fd3789a86c486d6b9dab6fb47bfe2b1d97ba76eac84fc0d28a984f7ff1f1"))
+    // the observation window has DST days in Europe/Dublin
+    assert(digests(7L, "Europe/Dublin") === Seq(stations,
+      "b527fc276045d0fc62062ef0b19331140606b954fbfdeecfb709c67f6686b798",
+      "e9e1479c7e969cf08eb0581e0ded40a07ea64b8b1dd945782fa99abcb1b3e00d",
+      "e1362d34a7f4a1a652f74b5f2a52e1eee14a5c74df419747f528098cb6068c6b"))
   }
 
   test("driver uniforms equal the Spark xxhash64 expression") {
