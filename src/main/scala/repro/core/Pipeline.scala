@@ -1,6 +1,5 @@
 package repro.core
 
-import java.time.{ZoneId, ZoneOffset}
 import org.apache.spark.sql.SparkSession
 import repro.community.Louvain
 import repro.data.{Cleaning, MobySynth}
@@ -12,14 +11,10 @@ import repro.data.MobySchema.MobyData
   */
 object Pipeline {
 
-  /** All thresholds default to the paper's §IV values (metres). `zone` is
-    * the zone the trips' days and hours are laid out and read in; UTC has
-    * no DST, so each trip's hour slice is the hour the generator drew.
-    */
+  /** All thresholds default to the paper's §IV values (metres). */
   final case class Config(sf: Double = 1.0, seed: Long = 7L,
                           preAssignM: Double = 50.0, hacCutM: Double = 100.0,
-                          centroidSepM: Double = 50.0, minDistM: Double = 250.0,
-                          zone: ZoneId = ZoneOffset.UTC)
+                          centroidSepM: Double = 50.0, minDistM: Double = 250.0)
 
   final case class CommunityResult(granularity: TemporalGraphs.Granularity,
                                    summary: CommunityAnalysis.Summary)
@@ -36,7 +31,7 @@ object Pipeline {
     * query.
     */
   def run(spark: SparkSession, cfg: Config = Config()): Result = {
-    val raw = MobySynth.generate(spark, cfg.sf, cfg.seed, cfg.zone)
+    val raw = MobySynth.generate(spark, cfg.sf, cfg.seed)
     val clean = Cleaning.clean(raw)
     val report = Cleaning.report(raw, clean)
     val candidate = CandidateGraph.build(spark, clean,

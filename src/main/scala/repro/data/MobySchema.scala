@@ -98,6 +98,12 @@ object MobySchema {
     StructField("region", StringType), StructField("block", StringType),
     StructField("archetype", StringType)))
 
+  /** The zone the trips' days and hours are laid out and read in unless
+    * one is given: UTC has no DST, so each trip's hour slice is the hour
+    * the generator drew.
+    */
+  val DefaultZone: ZoneId = ZoneOffset.UTC
+
   /** Generated dataset bundle: the stations, locations and location meta
     * as rows on the driver, the rentals as an RDD of rows. Each table
     * also reads as a DataFrame with its schema's columns, built on first
@@ -111,7 +117,7 @@ object MobySchema {
     * @param zone         the zone the trips' days and hours are read in
     */
   final case class MobyData(spark: SparkSession, stationRows: Seq[Row], locationRows: Seq[Row],
-                            rentalRows: RDD[Row], metaRows: Seq[Row], zone: ZoneId = ZoneOffset.UTC) {
+                            rentalRows: RDD[Row], metaRows: Seq[Row], zone: ZoneId = DefaultZone) {
     lazy val stations: DataFrame = spark.createDataFrame(stationRows.asJava, StationSchema)
     lazy val locations: DataFrame = spark.createDataFrame(locationRows.asJava, LocationSchema)
     lazy val rentals: DataFrame = spark.createDataFrame(rentalRows, RentalSchema)

@@ -1,7 +1,7 @@
 package repro.data
 
 import java.sql.Timestamp
-import java.time.{Instant, LocalDate, ZoneId, ZoneOffset}
+import java.time.{Instant, LocalDate, ZoneId}
 import scala.collection.mutable
 import org.apache.spark.sql.{Row, SparkSession}
 import org.apache.spark.sql.catalyst.expressions.XXH64
@@ -33,10 +33,10 @@ import MobySchema._
   * `pmod(xxhash64(seed, salt, id), 1000003) / 1000003.0`. A good rental
   * starts at midnight, in the configured zone (default UTC), plus its
   * drawn seconds. The stations, locations and location meta are drawn in
-  * one pass over plain arrays and stay rows on the driver. The good
-  * rentals are drawn in the tasks of whichever job reads them, from
-  * samplers broadcast once ([[GoodRentals]]), and the dirty rentals are
-  * `parallelize`d next to them: no Spark job and no query runs here.
+  * one pass over plain arrays and stay rows on the driver. The rentals,
+  * dirty ones included, are drawn in the tasks of whichever job reads
+  * them, from samplers broadcast once ([[Rentals]]): no Spark job and no
+  * query runs here.
   */
 object MobySynth {
 
@@ -187,12 +187,6 @@ object MobySynth {
   private val DominantArchetypeP = 0.85
   private val NWeeks = 88 // Mondays 2020-01-06 .. 2021-09-06, all trips < 2021-09-19
 
-  /** Most dirty rentals in one partition of the rentals' RDD. They are the
-    * only rows that travel inside the tasks, Java-serialized at about 105
-    * bytes each, and Spark warns of a task over 1000 KiB.
-    */
-  private val RowsPerSlice = 4096
-
   /** Seed of Spark's `xxhash64` SQL function. */
   private val XxSeed = 42L
 
@@ -201,14 +195,10 @@ object MobySynth {
     * 1000003.0` for a bigint seed, an int salt and bigint keys, chained
     * through Spark's own XXH64.
     */
-  private[data] def uniform(seed: Long, salt: Int, keys: Long*): Double =
-    unit(keys.foldLeft(salted(seed, salt))((h, k) => XXH64.hashLong(k, h)))
-
-  /** Spark's xxhash64 chain over (seed, salt), which each uniform continues over its keys. */
-  private def salted(seed: Long, salt: Int): Long = XXH64.hashInt(salt, XXH64.hashLong(seed, XxSeed))
-
-  /** `pmod(h, 1000003) / 1000003.0` */
-  private def unit(h: Long): Double = math.floorMod(h, 1000003L) / 1000003.0
+  private[data] def uniform(seed: Long, salt: Int, keys: Long*): Double = {
+    val h = keys.foldLeft(XXH64.hashInt(salt, XXH64.hashLong(seed, XxSeed)))((h, k) => XXH64.hashLong(k, h))
+    math.floorMod(h, 1000003L) / 1000003.0
+  }
 
   /** Spark's `xxhash64(s)` of one string. */
   private[data] def hashString(s: String): Long =
@@ -253,11 +243,13 @@ object MobySynth {
   private def midnights(zone: ZoneId): Array[Long] =
     Array.tabulate(NWeeks * 7)(d => LocalDate.of(2020, 1, 6).plusDays(d.toLong).atStartOfDay(zone).toEpochSecond)
 
-  /** The good rentals' sampler: everything a good rental's draw reads,
-    * shipped to the tasks once. Rental `rid` is a pure function of (seed,
-    * salt, rid) over these samplers, and so is its pre-mirror plan, which
-    * the next rental's mirror reads.
+  /** The rentals' sampler: everything a rental's draw reads, shipped to
+    * the tasks once. Good rental `rid` is a pure function of (seed, salt,
+    * rid) over these samplers, and so is its pre-mirror plan, which the
+    * next rental's mirror reads. The dirty rentals follow the good ones in
+    * id order, each a pure function of its id.
     *
+    * @param c            the dataset's row counts and location id layout
     * @param locAnchor    each good location's position in `anchorSeq`
     * @param locDay       each good location's day-of-week sampler
     * @param locHour      each good location's hour-of-day sampler
@@ -266,17 +258,13 @@ object MobySynth {
     * @param dest         per-region destination sampler ([[destinations]])
     * @param midnight     midnight (epoch seconds) of each day from 2020-01-06
     */
-  private[data] final class GoodRentals(seed: Long, goodLocations: Long, anchorSeq: IndexedSeq[Anchor],
-                                        locAnchor: Array[Int], locDay: Array[Cdf], locHour: Array[Cdf],
-                                        atAnchor: Array[Array[Long]], regionCounts: Map[String, Long],
-                                        dest: Map[String, (IndexedSeq[Int], Cdf)], midnight: Array[Long])
+  private[data] final class Rentals(seed: Long, c: MobyCounts, anchorSeq: IndexedSeq[Anchor],
+                                     locAnchor: Array[Int], locDay: Array[Cdf], locHour: Array[Cdf],
+                                     atAnchor: Array[Array[Long]], regionCounts: Map[String, Long],
+                                     dest: Map[String, (IndexedSeq[Int], Cdf)], midnight: Array[Long])
       extends Serializable {
 
-    // the (seed, salt) chain of each salt 0–65, hashed once: u's salts are 41–65
-    private val chain = Array.tabulate(66)(salted(seed, _))
-
-    /** `uniform(seed, salt, rid)` */
-    private def u(salt: Int, rid: Long): Double = unit(XXH64.hashLong(rid, chain(salt)))
+    private def u(salt: Int, rid: Long): Double = uniform(seed, salt, rid)
 
     /** Rental `rid`'s endpoint plan (origin, return) before the mirror
       * pass, so a mirror can swap its predecessor's endpoints and the
@@ -285,7 +273,7 @@ object MobySynth {
     private def plan(rid: Long): (Long, Long) = {
       // coverage: rental i < nGoodLocations starts at location i, so rule 6
       // (unreferenced locations) removes exactly the injected orphans.
-      val o = if (rid < goodLocations) rid else math.floor(u(41, rid) * goodLocations).toLong
+      val o = if (rid < c.goodLocations) rid else math.floor(u(41, rid) * c.goodLocations).toLong
       val oa = anchorSeq(locAnchor(o.toInt))
       val destBlock =
         if (u(45, rid) < SameBlockP) oa.block
@@ -310,7 +298,7 @@ object MobySynth {
       (o, if (u(51, rid) < RoundTripP) o else dLoc)
     }
 
-    /** The [[RentalSchema]] rows of the good rentals `ids`, which ascend.
+    /** The [[RentalSchema]] rows of the rentals `ids`, which ascend.
       *
       * Reciprocity: half the free rentals replay the previous rental's
       * planned trip in reverse (commute out in the morning, back in the
@@ -329,8 +317,12 @@ object MobySynth {
 
       def next(): Row = {
         val rid = ids.next()
+        if (rid < c.goodRentals) good(rid) else dirty(rid)
+      }
+
+      private def good(rid: Long): Row = {
         val own = plan(rid)
-        val mirror = rid >= goodLocations && u(65, rid) < 0.5
+        val mirror = rid >= c.goodLocations && u(65, rid) < 0.5
         val (o, ret) = if (!mirror) own else (if (lastRid == rid - 1) last else plan(rid - 1)).swap
         lastRid = rid
         last = own
@@ -343,13 +335,51 @@ object MobySynth {
             new Timestamp(start * 1000L), new Timestamp((start + dur) * 1000L), o, ret)
       }
     }
+
+    /** Dirty rental `rid`: its block fails one cleaning rule through one
+      * bad endpoint, and it starts `rid` minutes after 2020-06-01T10:00Z.
+      */
+    private def dirty(rid: Long): Row = {
+      val outsideId = c.goodRentals
+      val seaId = outsideId + c.outsideRentals
+      val noCoordId = seaId + c.seaRentals
+      val missingId = noCoordId + c.noCoordRentals
+      val danglingId = missingId + c.missingIdRentals
+      // k is the rental's rank in its block; the good endpoint draws salt s
+      // when the bad one is the rental location, s + 1 when it is the return
+      def row(k: Long, bad: Any, badFirst: Boolean, s: Int): Row = {
+        val goodLoc = math.floorMod(rid * 48271L + (if (badFirst) s else s + 1) * 1299709L + seed, c.goodLocations)
+        val start = DirtyStart + rid * 60000L
+        Row(rid, (k % 95 + 1).toInt, new Timestamp(start), new Timestamp(start + 900000L),
+            if (badFirst) bad else goodLoc, if (badFirst) goodLoc else bad)
+      }
+      if (rid < seaId) {
+        val k = rid - outsideId
+        row(k, c.outsideLocBase + k % c.outsideLocations, k % 2 == 0, 1)
+      } else if (rid < noCoordId) {
+        val k = rid - seaId
+        row(k, c.seaLocBase + k % c.seaLocations, k % 2 == 1, 1)
+      } else if (rid < missingId) {
+        val k = rid - noCoordId
+        row(k, c.noCoordLocBase + k % c.noCoordLocations, k % 2 == 0, 1)
+      } else if (rid < danglingId) {
+        val k = rid - missingId
+        row(k, null, k % 2 == 0, 3)
+      } else { // a location id that no location row has
+        val k = rid - danglingId
+        row(k, c.noCoordLocBase + c.noCoordLocations + 10000000L + k, k % 2 == 0, 5)
+      }
+    }
   }
+
+  /** Epoch milliseconds of 2020-06-01T10:00:00Z, the dirty rentals' clock origin. */
+  private val DirtyStart = Instant.parse("2020-06-01T10:00:00Z").toEpochMilli
 
   /** Generate the full dataset in `zone`, whose midnights the good rentals
     * start from. See class doc; sf=1 ≈ the paper's volume.
     */
   def generate(spark: SparkSession, sf: Double = 1.0, seed: Long = 7L,
-               zone: ZoneId = ZoneOffset.UTC): MobyData = {
+               zone: ZoneId = DefaultZone): MobyData = {
     val c = counts(sf)
     def u(salt: Int, keys: Long*): Double = uniform(seed, salt, keys: _*)
 
@@ -436,50 +466,11 @@ object MobySynth {
     }
 
     // ---------------- rentals ----------------
-    // the good rentals are drawn in the tasks, from samplers shipped once
+    // drawn in the tasks, from samplers shipped once
     val sc = spark.sparkContext
-    val sampler = sc.broadcast(new GoodRentals(seed, c.goodLocations, anchorSeq, locAnchor, locDay, locHour,
+    val sampler = sc.broadcast(new Rentals(seed, c, anchorSeq, locAnchor, locDay, locHour,
       atAnchor.map(_.toArray), regionCounts, destinations(c, anchorSeq), midnights(zone)))
-    val goodRentals = sc.range(0, c.goodRentals, 1, sc.defaultParallelism)
-      .mapPartitions(ids => sampler.value.rows(ids))
-
-    val badRentals = {
-      val t0 = Instant.parse("2020-06-01T10:00:00Z").toEpochMilli
-      def ts(k: Long) = new Timestamp(t0 + k * 60000L)
-      def ts2(k: Long) = new Timestamp(t0 + k * 60000L + 900000L)
-      def goodLoc(k: Long, s: Int): Long = math.floorMod(k * 48271L + s * 1299709L + seed, c.goodLocations)
-      // rental ids continue from the good rentals, block after block
-      val outsideId = c.goodRentals
-      val seaId = outsideId + c.outsideRentals
-      val noCoordId = seaId + c.seaRentals
-      val missingId = noCoordId + c.noCoordRentals
-      val danglingId = missingId + c.missingIdRentals
-      def mk(firstId: Long, n: Long, badBase: Long, nBad: Long, badOnRentalSide: Long => Boolean) =
-        (0L until n).map { k =>
-          val rid = firstId + k; val bad = badBase + (k % nBad)
-          if (badOnRentalSide(k))
-            Row(rid, (k % 95 + 1).toInt, ts(rid), ts2(rid), bad, goodLoc(rid, 1))
-          else
-            Row(rid, (k % 95 + 1).toInt, ts(rid), ts2(rid), goodLoc(rid, 2), bad)
-        }
-      val outside = mk(outsideId, c.outsideRentals, c.outsideLocBase, c.outsideLocations, _ % 2 == 0)
-      val sea = mk(seaId, c.seaRentals, c.seaLocBase, c.seaLocations, _ % 2 == 1)
-      val noCoord = mk(noCoordId, c.noCoordRentals, c.noCoordLocBase, c.noCoordLocations, _ % 2 == 0)
-      val missing = (0L until c.missingIdRentals).map { k =>
-        val rid = missingId + k
-        if (k % 2 == 0) Row(rid, (k % 95 + 1).toInt, ts(rid), ts2(rid), null, goodLoc(rid, 3))
-        else Row(rid, (k % 95 + 1).toInt, ts(rid), ts2(rid), goodLoc(rid, 4), null)
-      }
-      val dangling = (0L until c.danglingRentals).map { k =>
-        val rid = danglingId + k
-        val ghost = c.noCoordLocBase + c.noCoordLocations + 10000000L + k
-        if (k % 2 == 0) Row(rid, (k % 95 + 1).toInt, ts(rid), ts2(rid), ghost, goodLoc(rid, 5))
-        else Row(rid, (k % 95 + 1).toInt, ts(rid), ts2(rid), goodLoc(rid, 6), ghost)
-      }
-      outside ++ sea ++ noCoord ++ missing ++ dangling
-    }
-    val rentals = goodRentals.union(
-      sc.parallelize(badRentals, math.max(1, (badRentals.size + RowsPerSlice - 1) / RowsPerSlice)))
+    val rentals = sc.range(0, c.totalRentals, 1, sc.defaultParallelism).mapPartitions(ids => sampler.value.rows(ids))
 
     MobyData(spark, goodStations ++ badStations, goodLocations.toSeq ++ badLocations, rentals, meta.toSeq, zone)
   }

@@ -93,18 +93,21 @@ class CleaningSpec extends SparkSpec {
   }
 
   test("the cleaning job's closure and a rentals partition do not grow with sf") {
+    // both freshly generated: a job run on an RDD leaves its dependencies
+    // memoized, and they serialize with it
+    val (smaller, bigger) = (MobySynth.generate(spark, TestFixtures.sf, TestFixtures.seed),
+                             MobySynth.generate(spark, 0.25, TestFixtures.seed))
+    assert(bigger.locationRows.size > 4 * smaller.locationRows.size)
     val serializer = SparkEnv.get.closureSerializer.newInstance()
     def bytes(o: AnyRef): Int = serializer.serialize(o).limit()
     // (the serialized job, as the scheduler ships its stage: the RDD with
-    // its lineage; the rentals' first partition)
+    // its lineage; the rentals' largest partition)
     def sizes(d: MobyData): (Int, Int) = {
       val valid = spark.sparkContext.broadcast(d.locationRows.map(_.getLong(0)).toArray.sorted)
-      try (bytes(Cleaning.partialCounts(d.rentalRows, valid, d.zone)), bytes(d.rentalRows.partitions.head))
+      try (bytes(Cleaning.partialCounts(d.rentalRows, valid, d.zone)), d.rentalRows.partitions.map(bytes).max)
       finally valid.destroy()
     }
-    val bigger = MobySynth.generate(spark, 0.25, TestFixtures.seed)
-    assert(bigger.locationRows.size > 4 * data.locationRows.size)
-    val (small, big) = (sizes(data), sizes(bigger))
+    val (small, big) = (sizes(smaller), sizes(bigger))
     // Spark warns of a task over 1000 KiB
     for ((name, s, b) <- Seq(("job", small._1, big._1), ("partition", small._2, big._2))) {
       assert(math.abs(b - s) <= 1024, s"$name: $s bytes at sf=${TestFixtures.sf}, $b at sf=0.25")
