@@ -44,19 +44,26 @@ object HAC {
     * larger linkage; a neighbour's own entry for the kept cluster is then
     * raised in place, or set to +∞ (no pair) if only the kept cluster had
     * it, and its entries for the dropped cluster are skipped from then on.
-    * A binary heap over a `Double` array and a `Long` array packing
-    * `lo << 32 | hi` holds every linkage and skips entries a merge made
-    * stale. Merges go least linkage first, ties to the pair whose lower
-    * cluster has the least member, then to the other cluster's least
-    * member. Complete linkage is monotone, so merging until no linkage is
-    * left is exactly the dendrogram cut.
+    *
+    * Merges follow the nearest-neighbour chain (Müllner, arXiv:1109.2378):
+    * a stack of clusters, each the nearest live neighbour of the one below
+    * it, where nearest means the least (linkage, index). When the top two
+    * are each other's nearest they merge and both leave the stack; a
+    * cluster with no finite linkage left is final. Among one cluster's
+    * pairs, the least (linkage, index) neighbour gives the least pair
+    * under the greedy order (least linkage, then the lower cluster's least
+    * member, then the other's). Complete linkage is reducible: a merge
+    * never brings a cluster closer to a third one. So a reciprocal nearest
+    * pair is one the greedy order merges too, and the chain gives the
+    * greedy partition, ties included, without a priority queue. Complete
+    * linkage is also monotone, so merging until no linkage is left is
+    * exactly the dendrogram cut.
     */
   private[cluster] def completeLinkage(g: SpatialGrid.Neighbours, cutM: Double): Array[Int] = {
     val n = g.n
     val ids = new Array[Array[Int]](n)
     val links = new Array[Array[Double]](n)
-    val heap = new LinkageHeap(g.offsets(n) / 2)
-    // each point's row of neighbours within cutM; the heap takes each pair once
+    // each point's row of neighbours within cutM
     var i = 0
     while (i < n) {
       val (from, until) = (g.offsets(i), g.offsets(i + 1))
@@ -65,126 +72,71 @@ object HAC {
       var m = 0
       var e = from
       while (e < until) {
-        if (g.metres(e) <= cutM) {
-          rowIds(m) = g.nbr(e); rowLinks(m) = g.metres(e); m += 1
-          if (g.nbr(e) > i) heap.add(g.metres(e), i, g.nbr(e))
-        }
+        if (g.metres(e) <= cutM) { rowIds(m) = g.nbr(e); rowLinks(m) = g.metres(e); m += 1 }
         e += 1
       }
       ids(i) = if (m == rowIds.length) rowIds else Arrays.copyOf(rowIds, m)
       links(i) = if (m == rowLinks.length) rowLinks else Arrays.copyOf(rowLinks, m)
       i += 1
     }
-    heap.heapify()
 
     val parent = Array.tabulate(n)(identity)
-    // the linkage of live clusters a and b, +∞ if they have none
-    def linkage(a: Int, b: Int): Double = {
-      val e = Arrays.binarySearch(ids(a), b)
-      if (e < 0) Double.PositiveInfinity else links(a)(e)
-    }
     def setLinkage(a: Int, b: Int, d: Double): Unit = links(a)(Arrays.binarySearch(ids(a), b)) = d
+    // the least (linkage, index) live neighbour of live cluster a, -1 if it
+    // has none; dead clusters and +∞ entries are no neighbours
+    def nearest(a: Int): Int = {
+      val aIds = ids(a); val aLinks = links(a)
+      var best = -1; var bestLink = Double.PositiveInfinity
+      var e = 0
+      while (e < aIds.length) {
+        // ascending ids: on equal linkages the first stays
+        if (aLinks(e) < bestLink && parent(aIds(e)) == aIds(e)) { best = aIds(e); bestLink = aLinks(e) }
+        e += 1
+      }
+      best
+    }
     val sharedIds = new Array[Int](ids.foldLeft(0)((m, a) => math.max(m, a.length)))
     val sharedLinks = new Array[Double](sharedIds.length)
-    while (heap.nonEmpty) {
-      val d = heap.topLinkage
-      val lo = heap.topLo
-      val hi = heap.topHi
-      heap.pop()
-      if (parent(lo) == lo && parent(hi) == hi && linkage(lo, hi) == d) {
-        // merge hi into lo: one pass over both sorted lists keeps the live
-        // neighbours both share, each at the larger of its two linkages
-        parent(hi) = lo
-        val aIds = ids(lo); val aLinks = links(lo)
-        val bIds = ids(hi); val bLinks = links(hi)
-        var a = 0; var b = 0; var m = 0
-        while (a < aIds.length) {
-          // dead clusters (hi among them) and +∞ entries are no neighbours
-          val k = aIds(a)
-          if (parent(k) == k && aLinks(a) != Double.PositiveInfinity) {
-            while (b < bIds.length && bIds(b) < k) b += 1
-            if (b < bIds.length && bIds(b) == k && bLinks(b) != Double.PositiveInfinity) {
-              val (da, db) = (aLinks(a), bLinks(b))
-              sharedIds(m) = k; sharedLinks(m) = math.max(da, db); m += 1
-              if (db > da) {
-                setLinkage(k, lo, db)
-                heap.push(db, math.min(lo, k), math.max(lo, k))
-              }
-            } else setLinkage(k, lo, Double.PositiveInfinity)
-          }
-          a += 1
+    // merge hi into lo: one pass over both sorted lists keeps the live
+    // neighbours both share, each at the larger of its two linkages
+    def merge(lo: Int, hi: Int): Unit = {
+      parent(hi) = lo
+      val aIds = ids(lo); val aLinks = links(lo)
+      val bIds = ids(hi); val bLinks = links(hi)
+      var a = 0; var b = 0; var m = 0
+      while (a < aIds.length) {
+        // dead clusters (hi among them) and +∞ entries are no neighbours
+        val k = aIds(a)
+        if (parent(k) == k && aLinks(a) != Double.PositiveInfinity) {
+          while (b < bIds.length && bIds(b) < k) b += 1
+          if (b < bIds.length && bIds(b) == k && bLinks(b) != Double.PositiveInfinity) {
+            val (da, db) = (aLinks(a), bLinks(b))
+            sharedIds(m) = k; sharedLinks(m) = math.max(da, db); m += 1
+            if (db > da) setLinkage(k, lo, db)
+          } else setLinkage(k, lo, Double.PositiveInfinity)
         }
-        ids(lo) = Arrays.copyOf(sharedIds, m); links(lo) = Arrays.copyOf(sharedLinks, m)
-        ids(hi) = null; links(hi) = null
+        a += 1
       }
+      ids(lo) = Arrays.copyOf(sharedIds, m); links(lo) = Arrays.copyOf(sharedLinks, m)
+      ids(hi) = null; links(hi) = null
+    }
+
+    // the chain grows from each live point in turn until that point is
+    // merged away or final
+    val chain = new Array[Int](n)
+    var top = 0
+    i = 0
+    while (i < n) {
+      if (top == 0) { chain(0) = i; top = 1 }
+      val a = chain(top - 1)
+      val b = if (parent(a) == a) nearest(a) else -1
+      if (b < 0) { top -= 1; if (top == 0) i += 1 }
+      else if (top > 1 && chain(top - 2) == b) { merge(math.min(a, b), math.max(a, b)); top -= 2 }
+      else { chain(top) = b; top += 1 }
     }
     // a cluster's parent has a lower index, so one ascending pass finds roots
     for (k <- 0 until n) parent(k) = parent(parent(k))
     parent
-  }
-
-  /** A binary min-heap of (linkage, lo, hi), ordered by linkage under
-    * `java.lang.Double.compare`, then lo, then hi; lo and hi are packed
-    * into one `Long` as `lo << 32 | hi`, which orders the same way.
-    */
-  private final class LinkageHeap(capacity: Int) {
-    private var linkage = new Array[Double](math.max(16, capacity))
-    private var packed = new Array[Long](linkage.length)
-    private var size = 0
-
-    def nonEmpty: Boolean = size > 0
-    def topLinkage: Double = linkage(0)
-    def topLo: Int = (packed(0) >>> 32).toInt
-    def topHi: Int = packed(0).toInt
-
-    /** Append without restoring heap order; [[heapify]] restores it. */
-    def add(d: Double, lo: Int, hi: Int): Unit = {
-      if (size == linkage.length) {
-        linkage = Arrays.copyOf(linkage, 2 * size); packed = Arrays.copyOf(packed, 2 * size)
-      }
-      linkage(size) = d; packed(size) = lo.toLong << 32 | hi; size += 1
-    }
-
-    def heapify(): Unit = for (k <- size / 2 - 1 to 0 by -1) siftDown(k, linkage(k), packed(k))
-
-    def push(d: Double, lo: Int, hi: Int): Unit = {
-      add(d, lo, hi)
-      siftUp(size - 1, d, packed(size - 1))
-    }
-
-    def pop(): Unit = {
-      size -= 1
-      if (size > 0) siftDown(0, linkage(size), packed(size))
-    }
-
-    /** Whether (d, p) goes before the entry at slot k. */
-    private def before(d: Double, p: Long, k: Int): Boolean = {
-      val c = java.lang.Double.compare(d, linkage(k))
-      c < 0 || (c == 0 && p < packed(k))
-    }
-
-    /** Put (d, p) in the hole at slot k, moving greater parents down. */
-    private def siftUp(k: Int, d: Double, p: Long): Unit = {
-      var hole = k
-      while (hole > 0 && before(d, p, (hole - 1) / 2)) {
-        val up = (hole - 1) / 2
-        linkage(hole) = linkage(up); packed(hole) = packed(up); hole = up
-      }
-      linkage(hole) = d; packed(hole) = p
-    }
-
-    /** Put (d, p) in the hole at slot k, moving lesser children up. */
-    private def siftDown(k: Int, d: Double, p: Long): Unit = {
-      var hole = k
-      var done = false
-      while (!done) {
-        val l = 2 * hole + 1
-        val c = if (l + 1 < size && before(linkage(l + 1), packed(l + 1), l)) l + 1 else l
-        if (c < size && !before(d, p, c)) { linkage(hole) = linkage(c); packed(hole) = packed(c); hole = c }
-        else done = true
-      }
-      linkage(hole) = d; packed(hole) = p
-    }
   }
 
   /** A cluster: its id (the least member id), centroid and point count. */

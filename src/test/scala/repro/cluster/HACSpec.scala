@@ -193,6 +193,11 @@ class HACSpec extends SparkSpec {
     check("lattice", lattice.zipWithIndex.map { case ((la, lo), i) => (i.toLong, la, lo) })
     val shuffledIds = rnd.shuffle(lattice.indices.map(_.toLong))
     check("lattice, shuffled ids", lattice.zip(shuffledIds).map { case ((la, lo), i) => (i, la, lo) })
+    // a line with gaps 95, 90, ..., 5 m: every point's nearest neighbour is
+    // the next one, so a nearest-neighbour chain walks the whole line
+    val line = (95 to 5 by -5).scanLeft(0.0)(_ + _).map(x => at(53.33, -6.26, x, 0))
+    check("shrinking gaps", line.zipWithIndex.map { case ((la, lo), i) => (i.toLong, la, lo) })
+    check("no points", Seq.empty)
   }
 
   test("matches the boxed linkage on dense percolating clumped fields") {

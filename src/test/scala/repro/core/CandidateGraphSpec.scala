@@ -1,5 +1,8 @@
 package repro.core
 
+import java.nio.charset.StandardCharsets.UTF_8
+import java.security.MessageDigest
+
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.data.MobySynth
@@ -31,6 +34,17 @@ class CandidateGraphSpec extends SparkSpec {
     assert(pre.count { case (l, _) => near(l)._2 > 50.0 } === 0)
     // and every clustered location is > 50 m from all stations
     assert(clustered.count { case (l, _) => near(l)._2 <= 50.0 } === 0)
+  }
+
+  test("the candidate graph is identical to the pinned digest") {
+    // SHA-256 over each sorted (location, node) pair's toString, then each
+    // node's toString: pins the HAC partition, the Rule 2 merges and the
+    // centroids of the sf=0.05, seed-7 fixture
+    val md = MessageDigest.getInstance("SHA-256")
+    cand.nodeOf.toSeq.sorted.foreach(p => md.update(p.toString.getBytes(UTF_8)))
+    cand.nodes.foreach(n => md.update(n.toString.getBytes(UTF_8)))
+    assert(md.digest().map("%02x".format(_)).mkString ===
+      "8c15df3f33e82c7e5987b462a713fac81fe049b013cee27f58faf8dc4e9a2d26")
   }
 
   test("build starts no Spark job: the cleaned tables are local relations") {
