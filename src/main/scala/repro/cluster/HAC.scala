@@ -34,16 +34,19 @@ object HAC {
   final case class Result(assignment: DataFrame, centroids: DataFrame)
 
   /** Exact complete-linkage agglomeration with diameter cut over the
-    * points 0 until n of `g`, indexed in ascending id order; neighbours
-    * further apart than `cutM` are ignored. Returns, per point, the index
-    * of its cluster's least member.
+    * points 0 until n of `g`, indexed in ascending id order; every pair in
+    * `g` is within the cut. Returns, per point, the index of its cluster's
+    * least member. `g` is left as it was.
     *
-    * Each live cluster keeps its neighbours as two parallel arrays sorted
-    * by cluster: ids and linkages. A merge is one linear pass over the two
-    * clusters' arrays that keeps the neighbours both share, each at the
-    * larger linkage; a neighbour's own entry for the kept cluster is then
-    * raised in place, or set to +∞ (no pair) if only the kept cluster had
-    * it, and its entries for the dropped cluster are skipped from then on.
+    * Each live cluster keeps its neighbours as its row of a copy of `g`'s
+    * neighbour lists: ids and linkages, sorted by cluster, from the row's
+    * start until its live end. A merge is one linear pass over the two
+    * clusters' rows that writes the neighbours both share, each at the
+    * larger linkage, into the kept row in place: they are a subset of that
+    * row, so they fit and stay ascending. A neighbour's own entry for the
+    * kept cluster is then raised in place, or set to +∞ (no pair) if only
+    * the kept cluster had it, and its entries for the dropped cluster are
+    * skipped from then on.
     *
     * Merges follow the nearest-neighbour chain (Müllner, arXiv:1109.2378):
     * a stack of clusters, each the nearest live neighbour of the one below
@@ -59,73 +62,53 @@ object HAC {
     * linkage is also monotone, so merging until no linkage is left is
     * exactly the dendrogram cut.
     */
-  private[cluster] def completeLinkage(g: SpatialGrid.Neighbours, cutM: Double): Array[Int] = {
+  private[cluster] def completeLinkage(g: SpatialGrid.Neighbours): Array[Int] = {
     val n = g.n
-    val ids = new Array[Array[Int]](n)
-    val links = new Array[Array[Double]](n)
-    // each point's row of neighbours within cutM
-    var i = 0
-    while (i < n) {
-      val (from, until) = (g.offsets(i), g.offsets(i + 1))
-      val rowIds = new Array[Int](until - from)
-      val rowLinks = new Array[Double](until - from)
-      var m = 0
-      var e = from
-      while (e < until) {
-        if (g.metres(e) <= cutM) { rowIds(m) = g.nbr(e); rowLinks(m) = g.metres(e); m += 1 }
-        e += 1
-      }
-      ids(i) = if (m == rowIds.length) rowIds else Arrays.copyOf(rowIds, m)
-      links(i) = if (m == rowLinks.length) rowLinks else Arrays.copyOf(rowLinks, m)
-      i += 1
-    }
+    val start = g.offsets
+    val end = Arrays.copyOfRange(g.offsets, 1, n + 1)
+    val nbr = g.nbr.clone()
+    val links = g.metres.clone()
 
     val parent = Array.tabulate(n)(identity)
-    def setLinkage(a: Int, b: Int, d: Double): Unit = links(a)(Arrays.binarySearch(ids(a), b)) = d
+    def setLinkage(a: Int, b: Int, d: Double): Unit = links(Arrays.binarySearch(nbr, start(a), end(a), b)) = d
     // the least (linkage, index) live neighbour of live cluster a, -1 if it
     // has none; dead clusters and +∞ entries are no neighbours
     def nearest(a: Int): Int = {
-      val aIds = ids(a); val aLinks = links(a)
       var best = -1; var bestLink = Double.PositiveInfinity
-      var e = 0
-      while (e < aIds.length) {
+      var e = start(a)
+      while (e < end(a)) {
         // ascending ids: on equal linkages the first stays
-        if (aLinks(e) < bestLink && parent(aIds(e)) == aIds(e)) { best = aIds(e); bestLink = aLinks(e) }
+        if (links(e) < bestLink && parent(nbr(e)) == nbr(e)) { best = nbr(e); bestLink = links(e) }
         e += 1
       }
       best
     }
-    val sharedIds = new Array[Int](ids.foldLeft(0)((m, a) => math.max(m, a.length)))
-    val sharedLinks = new Array[Double](sharedIds.length)
-    // merge hi into lo: one pass over both sorted lists keeps the live
+    // merge hi into lo: one pass over both sorted rows keeps the live
     // neighbours both share, each at the larger of its two linkages
     def merge(lo: Int, hi: Int): Unit = {
       parent(hi) = lo
-      val aIds = ids(lo); val aLinks = links(lo)
-      val bIds = ids(hi); val bLinks = links(hi)
-      var a = 0; var b = 0; var m = 0
-      while (a < aIds.length) {
+      var a = start(lo); var b = start(hi); var m = start(lo)
+      while (a < end(lo)) {
         // dead clusters (hi among them) and +∞ entries are no neighbours
-        val k = aIds(a)
-        if (parent(k) == k && aLinks(a) != Double.PositiveInfinity) {
-          while (b < bIds.length && bIds(b) < k) b += 1
-          if (b < bIds.length && bIds(b) == k && bLinks(b) != Double.PositiveInfinity) {
-            val (da, db) = (aLinks(a), bLinks(b))
-            sharedIds(m) = k; sharedLinks(m) = math.max(da, db); m += 1
+        val k = nbr(a)
+        if (parent(k) == k && links(a) != Double.PositiveInfinity) {
+          while (b < end(hi) && nbr(b) < k) b += 1
+          if (b < end(hi) && nbr(b) == k && links(b) != Double.PositiveInfinity) {
+            val (da, db) = (links(a), links(b))
+            nbr(m) = k; links(m) = math.max(da, db); m += 1
             if (db > da) setLinkage(k, lo, db)
           } else setLinkage(k, lo, Double.PositiveInfinity)
         }
         a += 1
       }
-      ids(lo) = Arrays.copyOf(sharedIds, m); links(lo) = Arrays.copyOf(sharedLinks, m)
-      ids(hi) = null; links(hi) = null
+      end(lo) = m
     }
 
     // the chain grows from each live point in turn until that point is
     // merged away or final
     val chain = new Array[Int](n)
     var top = 0
-    i = 0
+    var i = 0
     while (i < n) {
       if (top == 0) { chain(0) = i; top = 1 }
       val a = chain(top - 1)
@@ -151,7 +134,7 @@ object HAC {
             minCentroidSepM: Double): (Array[Long], Seq[Cluster]) = {
     require(ids.indices.drop(1).forall(k => ids(k - 1) < ids(k)), "point ids must be strictly ascending")
     val n = ids.length
-    val parent = completeLinkage(SpatialGrid.pairs(lats, lons, cutM), cutM)
+    val parent = completeLinkage(SpatialGrid.pairs(lats, lons, cutM))
 
     // centroids, summed in id order
     val (sumLat, sumLon, count) = (new Array[Double](n), new Array[Double](n), new Array[Long](n))

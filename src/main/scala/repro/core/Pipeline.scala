@@ -11,10 +11,13 @@ import repro.data.MobySchema.MobyData
   */
 object Pipeline {
 
-  /** All thresholds default to the paper's §IV values (metres). */
-  final case class Config(sf: Double = 1.0, seed: Long = 7L,
-                          preAssignM: Double = 50.0, hacCutM: Double = 100.0,
-                          centroidSepM: Double = 50.0, minDistM: Double = 250.0)
+  /** A run's scale factor and seed; the thresholds are the paper's §IV values (metres). */
+  final case class Config(sf: Double = 1.0, seed: Long = 7L) {
+    val preAssignM = 50.0
+    val hacCutM = 100.0
+    val centroidSepM = 50.0
+    val minDistM = 250.0
+  }
 
   final case class CommunityResult(granularity: TemporalGraphs.Granularity,
                                    summary: CommunityAnalysis.Summary)
@@ -25,10 +28,10 @@ object Pipeline {
                           selected: SelectedGraph.Result)
 
   /** Run generation through station selection (Tables I–III). The one
-    * Spark job is `Cleaning.clean`'s count of the rentals, folded per
-    * partition without a shuffle and merged on the driver; every later
-    * stage reads those counts on the driver, and no stage runs a Spark SQL
-    * query.
+    * Spark job is `Cleaning.clean`'s read of the rentals: each partition
+    * keeps the surviving rentals without a shuffle, and the driver counts
+    * them. Every later stage reads those counts on the driver, and no stage
+    * runs a Spark SQL query.
     */
   def run(spark: SparkSession, cfg: Config = Config()): Result = {
     val raw = MobySynth.generate(spark, cfg.sf, cfg.seed)

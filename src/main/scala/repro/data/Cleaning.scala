@@ -28,10 +28,10 @@ import MobySchema._
   *
   * The rentals are read by one Spark-core job without a shuffle and
   * without a query: each partition keeps its rentals that pass rules 4–5
-  * and counts them per (rental location, return location, day, hour), and
-  * the driver merges the partial counts ([[groups]]) and applies rule 6.
-  * The tasks get the valid ids as one broadcast, so a task does not grow
-  * with the number of locations.
+  * as (rental location, return location, day, hour), and the driver
+  * counts them ([[groups]]) and applies rule 6. The tasks get the valid
+  * ids as one broadcast, so a task does not grow with the number of
+  * locations.
   */
 object Cleaning {
 
@@ -125,43 +125,45 @@ object Cleaning {
   }
 
   /** Rules 4–5 and the count of the survivors, in one Spark job without a
-    * shuffle: [[partialCounts]] with the ascending `valid` ids broadcast.
-    * The driver merges the partial counts. Returns (rentals read, merged
+    * shuffle: [[survivors]] with the ascending `valid` ids broadcast. The
+    * driver counts the surviving rentals per key. Returns (rentals read,
     * counts). A surviving rental without a start time fails the job,
     * naming its id.
     */
   private[data] def groups(rentals: RDD[Row], valid: Array[Long],
                            zone: ZoneId): (Long, Map[(Long, Long, Int, Int), Long]) = {
     val ids = rentals.sparkContext.broadcast(valid)
-    val partials = try partialCounts(rentals, ids, zone).collect() finally ids.destroy()
-    val merged = mutable.HashMap.empty[(Long, Long, Int, Int), Long]
-    for (p <- partials; i <- p.n.indices) {
+    val parts = try survivors(rentals, ids, zone).collect() finally ids.destroy()
+    val counts = mutable.HashMap.empty[(Long, Long, Int, Int), Long]
+    for (p <- parts; i <- p.from.indices) {
       val key = (p.from(i), p.to(i), p.dayHour(i) / 24, p.dayHour(i) % 24)
-      merged(key) = merged.getOrElse(key, 0L) + p.n(i)
+      counts(key) = counts.getOrElse(key, 0L) + 1
     }
-    (partials.iterator.map(_.read).sum, merged.toMap)
+    (parts.iterator.map(_.read).sum, counts.toMap)
   }
 
-  /** One partition's share of [[groups]]: the rentals it read, and its
-    * counts as parallel primitive arrays, (from(i), to(i), dayHour(i) / 24,
-    * dayHour(i) % 24) → n(i). A task result is Java-serialized, and arrays
-    * go in bulk: a map of boxed tuples took 50–250 ms per partition to
-    * serialize and read back in a cold JVM at sf=0.25.
+  /** One partition's share of [[groups]]: the rentals it read, and each
+    * rental it kept as (from(i), to(i), dayHour(i) / 24, dayHour(i) % 24)
+    * in parallel primitive arrays. The tasks do not count: on the generated
+    * data almost every kept rental has a key of its own (15,462 keys for
+    * 15,468 rentals at sf=0.25). A task result is Java-serialized, and
+    * primitive arrays go in bulk.
     */
-  private[data] final class Partial(val read: Long, val from: Array[Long], val to: Array[Long],
-                                    val dayHour: Array[Int], val n: Array[Long]) extends Serializable
+  private[data] final class Survivors(val read: Long, val from: Array[Long], val to: Array[Long],
+                                      val dayHour: Array[Int]) extends Serializable
 
-  /** The cleaning job's one stage: each partition folds its rentals that
-    * pass rules 4–5 against the ascending `valid` ids into
-    * (rental_location_id, return_location_id, day, hour) → n, day and hour
-    * the [[repro.core.TemporalGraphs.dayHour]] of start_ts in `zone`, counts
-    * every rental it reads and returns one [[Partial]].
+  /** The cleaning job's one stage: each partition keeps its rentals that
+    * pass rules 4–5 against the ascending `valid` ids as
+    * (rental_location_id, return_location_id, day, hour), day and hour the
+    * [[repro.core.TemporalGraphs.dayHour]] of start_ts in `zone`, counts
+    * every rental it reads and returns one [[Survivors]].
     */
-  private[data] def partialCounts(rentals: RDD[Row], valid: Broadcast[Array[Long]],
-                                  zone: ZoneId): RDD[Partial] =
+  private[data] def survivors(rentals: RDD[Row], valid: Broadcast[Array[Long]],
+                              zone: ZoneId): RDD[Survivors] =
     rentals.mapPartitions { rows =>
       val ids = valid.value
-      val partial = mutable.HashMap.empty[(Long, Long, Int, Int), Long]
+      val (from, to, dayHour) = (mutable.ArrayBuilder.make[Long], mutable.ArrayBuilder.make[Long],
+                                 mutable.ArrayBuilder.make[Int])
       var read = 0L
       while (rows.hasNext) {
         val r = rows.next()
@@ -169,20 +171,10 @@ object Cleaning {
         if (survives(r, ids)) {
           require(!r.isNullAt(Start), s"rental ${r.get(RentalId)} passes rules 1-5 but has no start_ts")
           val (day, hour) = TemporalGraphs.dayHour(r.getTimestamp(Start).toInstant, zone)
-          val key = (r.getLong(From), r.getLong(To), day, hour)
-          partial(key) = partial.getOrElse(key, 0L) + 1
+          from += r.getLong(From); to += r.getLong(To); dayHour += day * 24 + hour
         }
       }
-      val (from, to, dayHour, n) = (new Array[Long](partial.size), new Array[Long](partial.size),
-                                    new Array[Int](partial.size), new Array[Long](partial.size))
-      val slots = partial.iterator
-      var i = 0
-      while (slots.hasNext) {
-        val ((a, b, day, hour), k) = slots.next()
-        from(i) = a; to(i) = b; dayHour(i) = day * 24 + hour; n(i) = k
-        i += 1
-      }
-      Iterator.single(new Partial(read, from, to, dayHour, n))
+      Iterator.single(new Survivors(read, from.result(), to.result(), dayHour.result()))
     }
 
   /** Original-vs-cleaned counts (the content of Table I), as `clean`

@@ -32,7 +32,7 @@ class HACSpec extends SparkSpec {
       i <- arr.indices; j <- i + 1 until arr.length
       d = Haversine.metres(arr(i)._2, arr(i)._3, arr(j)._2, arr(j)._3) if d <= cut
     } yield (i, j, d)
-    val labels = HAC.completeLinkage(neighbours(arr.length, pairs), cut)
+    val labels = HAC.completeLinkage(neighbours(arr.length, pairs))
     arr.map(_._1).zip(labels).toMap
   }
 
@@ -79,12 +79,17 @@ class HACSpec extends SparkSpec {
   }
 
   /** Both linkages over the grid pairs of `pts` at a 100 m cut, points in
-    * id order: (the linkage's parents, the reference's parents).
+    * id order: (the linkage's parents, the reference's parents). The
+    * reference reads the grid pairs after the linkage, which must leave
+    * them as they were.
     */
   private def bothLinkages(pts: Seq[(Long, Double, Double)]): (Seq[Int], Seq[Int]) = {
     val (_, lats, lons) = pts.sortBy(_._1).toArray.unzip3
     val g = SpatialGrid.pairs(lats, lons, 100.0)
-    (HAC.completeLinkage(g, 100.0).toSeq, boxedCompleteLinkage(pts.size, g.upperPairs.toSeq, 100.0).toSeq)
+    val (nbr, metres) = (g.nbr.clone(), g.metres.clone())
+    val linkage = HAC.completeLinkage(g).toSeq
+    assert(g.nbr.sameElements(nbr) && g.metres.sameElements(metres), "completeLinkage changed the grid pairs")
+    (linkage, boxedCompleteLinkage(pts.size, g.upperPairs.toSeq, 100.0).toSeq)
   }
 
   test("single point forms one cluster") {

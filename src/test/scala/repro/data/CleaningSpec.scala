@@ -104,7 +104,7 @@ class CleaningSpec extends SparkSpec {
     // its lineage; the rentals' largest partition)
     def sizes(d: MobyData): (Int, Int) = {
       val valid = spark.sparkContext.broadcast(d.locationRows.map(_.getLong(0)).toArray.sorted)
-      try (bytes(Cleaning.partialCounts(d.rentalRows, valid, d.zone)), d.rentalRows.partitions.map(bytes).max)
+      try (bytes(Cleaning.survivors(d.rentalRows, valid, d.zone)), d.rentalRows.partitions.map(bytes).max)
       finally valid.destroy()
     }
     val (small, big) = (sizes(smaller), sizes(bigger))
@@ -143,29 +143,31 @@ class CleaningSpec extends SparkSpec {
     val toy = Seq[(java.lang.Long, java.lang.Long, Timestamp)](
       (1L, 2L, at), (1L, null, at), (3L, 4L, at), (null, null, null),
       (1L, 2L, new Timestamp(at.getTime + 60000)), (null, 2L, at), (1L, null, at),
-      (3L, 4L, new Timestamp(at.getTime + 3600000)), (1L, 2L, at))
+      (3L, 4L, new Timestamp(at.getTime + 3600000)), (1L, 2L, at), (1L, 2L, at))
     val rows = toy.zipWithIndex.map { case ((a, b, t), i) => Row(i.toLong, 1, t, t, a, b) }
     val rentals = spark.createDataFrame(spark.sparkContext.parallelize(rows, 3), MobySchema.RentalSchema)
     val (from, to, ts) = (col("rental_location_id"), col("return_location_id"), col("start_ts"))
     val slices = Seq(from, to, sliceCol(TDay, ts), sliceCol(THour, ts))
 
-    // (1, 2, Wednesday, 8) has rows in the first and last partitions
+    // (1, 2, Wednesday, 8) has rows in more than one partition, and two in
+    // one partition
     val split = (1L, 2L, 2, 8)
     val parts = rentals.select((slices :+ spark_partition_id()): _*).collect()
-      .filter(r => r.toSeq.init == split.productIterator.toSeq).map(_.getInt(4)).distinct
-    assert(parts.length > 1, parts.mkString(","))
+      .filter(r => r.toSeq.init == split.productIterator.toSeq).map(_.getInt(4))
+    assert(parts.distinct.length > 1, parts.mkString(","))
+    assert(parts.distinct.length < parts.length, parts.mkString(","))
 
     val zone = DateTimeUtils.getZoneId(spark.conf.get("spark.sql.session.timeZone"))
     // rule 4 drops the four rows with a null id; with 3 not valid, rule 5
     // drops the two (3, 4) rows as well
-    for ((valid, kept) <- Seq(Seq(1L, 2L, 3L, 4L) -> 5L, Seq(1L, 2L, 4L) -> 3L)) {
+    for ((valid, kept) <- Seq(Seq(1L, 2L, 3L, 4L) -> 6L, Seq(1L, 2L, 4L) -> 4L)) {
       val reference = rentals
         .filter(from.isNotNull && to.isNotNull && from.isin(valid: _*) && to.isin(valid: _*))
         .groupBy(slices: _*).count().collect()
         .map(r => (r.getLong(0), r.getLong(1), r.getInt(2), r.getInt(3)) -> r.getLong(4)).toMap
       val (read, got) = Cleaning.groups(rentals.rdd, valid.toArray, zone)
       assert(got === reference, valid)
-      assert(got(split) === 3L, valid)
+      assert(got(split) === 4L, valid)
       assert(got.values.sum === kept, valid)
       assert(read === rows.length.toLong, valid)
     }
