@@ -1,5 +1,7 @@
 package repro.core
 
+import java.nio.charset.StandardCharsets.UTF_8
+import java.security.MessageDigest
 import java.util.TimeZone
 import repro.SparkSpec
 import repro.community.Louvain
@@ -18,6 +20,20 @@ class PipelineSpec extends SparkSpec {
   private lazy val basic = repro.TestFixtures.basic
   private lazy val day = repro.TestFixtures.day
   private lazy val hourly = repro.TestFixtures.hourly
+
+  // one line per value, doubles by Double.toString, so any moved count, id
+  // or modularity bit moves the digest
+  test("Tables I-VI at the fixture's scale equal the pinned digest") {
+    val lines = Seq(res.report, res.candidate.stats, res.selected.stats).map(_.toString) ++
+      res.selection.selected.map(_.nodeId.toString) ++
+      Seq(basic, day, hourly).flatMap { c =>
+        Seq(c.granularity.name, c.summary.modularity.toString) ++ c.summary.rows.map(_.toString)
+      }
+    val md = MessageDigest.getInstance("SHA-256")
+    lines.foreach(l => md.update((l + "\n").getBytes(UTF_8)))
+    assert(md.digest().map("%02x".format(_)).mkString ===
+      "95ceb31edd59ddbdc2696bb0bc7cb1c6504e2b8076f7582ad3df5c1e789da671")
+  }
 
   test("pipeline preserves trip counts end to end") {
     assert(res.report.cleanRentals === res.candidate.stats.nTrips)
