@@ -25,7 +25,7 @@ object Tune {
 
       for (g <- Seq(TemporalGraphs.TNull, TemporalGraphs.TDay, TemporalGraphs.THour);
            gamma <- if (g == TemporalGraphs.TNull) Seq(1.0) else Seq(2.0, 3.0, 4.0, 5.0, 6.0)) {
-        val r = Louvain.run(TemporalGraphs.weights(res.selected.counts, g, gamma))
+        val r = Louvain.run(TemporalGraphs.weights(res.selected.tripTable, g, gamma))
         val nComm = r.community.values.toSet.size
         println(f"louvain ${g.name}%-7s gamma=$gamma%.1f -> communities=$nComm Q=${r.modularity}%.3f")
       }

@@ -27,20 +27,20 @@ object CandidateGraph {
   /** A row of the node table. */
   final case class Node(id: Long, lat: Double, lon: Double, isStation: Boolean)
 
-  /** @param nodes   the fixed stations, in id order, then the candidates
-    * @param nodeOf  location_id → node_id of every cleaned location
-    * @param counts  (src_node, dst_node, day, hour) → trips: Table II, the
-    *                degrees of Algorithm 1 and the selected graph read it
-    *                in plain Scala. Day and hour are those of the cleaned
-    *                counts, taken in the configured zone (default UTC).
-    * @param rentals the cleaned rentals, which [[trips]] relabels, built on
-    *                its first call
+  /** @param nodes     the fixed stations, in id order, then the candidates
+    * @param nodeOf    location_id → node_id of every cleaned location
+    * @param tripTable the cleaned trips from src_node to dst_node: Table II,
+    *                  the degrees of Algorithm 1 and the selected graph read
+    *                  it in plain Scala. Day and hour are the cleaned
+    *                  trips', taken in the configured zone (default UTC).
+    * @param rentals   the cleaned rentals, which [[trips]] relabels, built
+    *                  on its first call
     */
   final case class Result(nodes: Seq[Node], nodeOf: Map[Long, Long],
-                          counts: Map[(Long, Long, Int, Int), Long], rentals: () => DataFrame) {
+                          tripTable: TemporalGraphs.TripTable, rentals: () => DataFrame) {
 
     /** (src_node, dst_node) → trips. */
-    lazy val edgeTrips: Map[(Long, Long), Long] = TemporalGraphs.pairCounts(counts)
+    lazy val edgeTrips: Map[(Long, Long), Long] = TemporalGraphs.pairCounts(tripTable)
 
     /** rental_id, src_node, dst_node, start_ts: a lazy view. */
     lazy val trips: DataFrame = TemporalGraphs.trips(rentals(), nodeOf)
@@ -81,8 +81,8 @@ object CandidateGraph {
 
   /** Build the candidate graph from cleaned data, on the driver: the
     * geometry runs over the cleaned station and location points, in id
-    * order, and `counts` relabels the cleaned (location, location, day,
-    * hour) counts through location → node. Starts no Spark job.
+    * order, and `tripTable` is the cleaned trips relabelled location →
+    * node. Starts no Spark job.
     */
   def build(@scala.annotation.unused("perfbench/Harness.scala passes it") spark: SparkSession,
             data: CleanData, preAssignM: Double = 50.0, hacCutM: Double = 100.0,
@@ -100,6 +100,6 @@ object CandidateGraph {
     val nodes = stations.toSeq.map { case (s, la, lo) => Node(s, la, lo, isStation = true) } ++
       clusters.map(c => Node(c.id + CandidateOffset, c.lat, c.lon, isStation = false))
 
-    Result(nodes, nodeOf, TemporalGraphs.relabel(data.counts, nodeOf), () => data.rentals)
+    Result(nodes, nodeOf, data.tripTable.relabel(nodeOf), () => data.rentals)
   }
 }

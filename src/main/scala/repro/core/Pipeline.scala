@@ -13,6 +13,8 @@ object Pipeline {
 
   /** A run's scale factor and seed; the thresholds are the paper's §IV values (metres). */
   final case class Config(sf: Double = 1.0, seed: Long = 7L) {
+    require(sf > 0 && sf < Double.PositiveInfinity,
+            s"the scale factor must be a positive finite number, not $sf")
     val preAssignM = 50.0
     val hacCutM = 100.0
     val centroidSepM = 50.0
@@ -29,9 +31,9 @@ object Pipeline {
 
   /** Run generation through station selection (Tables I–III). The one
     * Spark job is `Cleaning.clean`'s read of the rentals: each partition
-    * keeps the surviving rentals without a shuffle, and the driver counts
-    * them. Every later stage reads those counts on the driver, and no stage
-    * runs a Spark SQL query.
+    * keeps the surviving rentals without a shuffle, and the driver
+    * concatenates them into one trip table. Every later stage reads that
+    * table, relabelled, on the driver, and no stage runs a Spark SQL query.
     */
   def run(spark: SparkSession, cfg: Config = Config()): Result = {
     val raw = MobySynth.generate(spark, cfg.sf, cfg.seed)
@@ -46,13 +48,13 @@ object Pipeline {
 
   /** Exact sequential Louvain + community summary on the selected graph
     * at a granularity (Tables IV–VI). The selected graph has ~230 nodes,
-    * so its edges are weighted from its one collected aggregate and clustered
-    * on the driver, without a Spark job; Q is
+    * so its edges are weighted from its trip table and clustered on the
+    * driver, without a Spark job; Q is
     * [[repro.community.Modularity.local]] of the final assignment.
     */
   def communities(spark: SparkSession, selected: SelectedGraph.Result,
                   g: TemporalGraphs.Granularity): CommunityResult = {
-    val louvain = Louvain.run(TemporalGraphs.weights(selected.counts, g))
+    val louvain = Louvain.run(TemporalGraphs.weights(selected.tripTable, g))
     // stations without edges become singleton communities
     val full = selected.isNew.keys.map(n => n -> louvain.community.getOrElse(n, n)).toMap
     CommunityResult(g, CommunityAnalysis.summarize(spark, selected, full, louvain.modularity))

@@ -16,19 +16,19 @@ object SelectedGraph {
   final case class Stats(preExisting: GroupStats, selected: GroupStats,
                          totalStations: Long, totalTrips: Long, totalEdges: Long)
 
-  /** @param finals  the pre-existing stations (`isStation`) and the selected candidates
-    * @param nodeOf  location_id → final node_id: the candidate `nodeOf`, then the redirection
-    * @param counts  (src_node, dst_node, day, hour) → redirected trips; every
-    *                post-selection table and all three temporal graphs are
-    *                plain Scala projections of it
-    * @param rentals the cleaned rentals, which [[trips]] relabels, built on
-    *                its first call
+  /** @param finals    the pre-existing stations (`isStation`) and the selected candidates
+    * @param nodeOf    location_id → final node_id: the candidate `nodeOf`, then the redirection
+    * @param tripTable the redirected trips from src_node to dst_node; every
+    *                  post-selection table and all three temporal graphs
+    *                  are plain Scala projections of it
+    * @param rentals   the cleaned rentals, which [[trips]] relabels, built
+    *                  on its first call
     */
   final case class Result(finals: Seq[CandidateGraph.Node], nodeOf: Map[Long, Long],
-                          counts: Map[(Long, Long, Int, Int), Long], rentals: () => DataFrame) {
+                          tripTable: TemporalGraphs.TripTable, rentals: () => DataFrame) {
 
     /** (src_node, dst_node) → trips. */
-    lazy val edgeTrips: Map[(Long, Long), Long] = TemporalGraphs.pairCounts(counts)
+    lazy val edgeTrips: Map[(Long, Long), Long] = TemporalGraphs.pairCounts(tripTable)
 
     /** node_id → is_new (selected by Algorithm 1 rather than pre-existing). */
     lazy val isNew: Map[Long, Boolean] = finals.map(n => n.id -> !n.isStation).toMap
@@ -55,8 +55,8 @@ object SelectedGraph {
   }
 
   /** Redirect trips at rejected candidates to the nearest final station.
-    * Redirection relabels nodes, so `counts` is the candidate graph's
-    * counts relabelled and summed on the driver.
+    * Redirection relabels nodes, so `tripTable` is the candidate graph's
+    * table relabelled on the driver.
     */
   def build(@scala.annotation.unused("perfbench/Harness.scala passes it") spark: SparkSession,
             candidate: CandidateGraph.Result, selection: StationSelection.Result): Result = {
@@ -71,6 +71,6 @@ object SelectedGraph {
     val node = (n: Long) => remap.getOrElse(n, n)
 
     Result(finals, candidate.nodeOf.map { case (l, n) => l -> node(n) },
-           TemporalGraphs.relabel(candidate.counts, node), candidate.rentals)
+           candidate.tripTable.relabel(node), candidate.rentals)
   }
 }

@@ -54,23 +54,31 @@ object TemporalGraphs {
     (t.getDayOfWeek.getValue - 1, t.getHour)
   }
 
-  /** Trips per directed node pair, day and hour: (src, dst, day, hour) → n,
-    * one Spark aggregate over `trips`; day and hour are [[sliceCol]]s,
-    * computed in Spark under the session time zone. The pipeline's own
-    * counts come from `Cleaning.clean`'s count of the same slices ([[dayHour]]),
-    * [[relabel]]led location → node by the candidate graph and node → final
-    * node by the selected graph; this one serves [[edges]] and the tests.
+  /** The trips as parallel columns: trip i runs from `from(i)` to `to(i)`
+    * (location or node ids) and starts on day `dayHour(i) / 24` (Mon = 0)
+    * at hour `dayHour(i) % 24`. `Cleaning.clean` returns the cleaned
+    * rentals' table, with day and hour from [[dayHour]]; the candidate and
+    * the selected graph each [[relabel]] it, and every table and edge
+    * weight after the cleaning job is a projection of one of them.
     */
-  def counts(trips: DataFrame): Map[(Long, Long, Int, Int), Long] =
-    trips.groupBy(col("src_node"), col("dst_node"),
-                  sliceCol(TDay, col("start_ts")) as "day", sliceCol(THour, col("start_ts")) as "hour")
-      .count().collect()
-      .map(r => (r.getLong(0), r.getLong(1), r.getInt(2), r.getInt(3)) -> r.getLong(4)).toMap
+  final case class TripTable(from: Array[Long], to: Array[Long], dayHour: Array[Int]) {
+    def size: Int = from.length
 
-  /** `counts` with both endpoints relabelled by `f`, summing keys that meet. */
-  def relabel(counts: Map[(Long, Long, Int, Int), Long],
-              f: Long => Long): Map[(Long, Long, Int, Int), Long] =
-    counts.toSeq.groupMapReduce { case ((s, d, day, hour), _) => (f(s), f(d), day, hour) }(_._2)(_ + _)
+    /** This table with both endpoint columns mapped by `f`. */
+    def relabel(f: Long => Long): TripTable = TripTable(from.map(f), to.map(f), dayHour)
+  }
+
+  /** The [[TripTable]] of `trips` (src_node, dst_node, start_ts), day and
+    * hour their [[sliceCol]]s, computed in Spark under the session time
+    * zone. The pipeline's tables come from `Cleaning.clean`'s; this one
+    * serves [[edges]] and the tests.
+    */
+  def table(trips: DataFrame): TripTable = {
+    val start = col("start_ts")
+    val rows = trips.select(col("src_node"), col("dst_node"),
+                            sliceCol(TDay, start) * 24 + sliceCol(THour, start)).collect()
+    TripTable(rows.map(_.getLong(0)), rows.map(_.getLong(1)), rows.map(_.getInt(2)))
+  }
 
   /** rental_id, src_node, dst_node, start_ts: a lazy view of `rentals`
     * with both location ids looked up in `nodeOf` by a Scala UDF, a hash
@@ -84,16 +92,16 @@ object TemporalGraphs {
   }
 
   /** Trips per directed node pair: (src, dst) → n. */
-  def pairCounts(counts: Map[(Long, Long, Int, Int), Long]): Map[(Long, Long), Long] =
-    counts.toSeq.groupMapReduce { case ((s, d, _, _), _) => (s, d) }(_._2)(_ + _)
+  def pairCounts(t: TripTable): Map[(Long, Long), Long] =
+    t.from.indices.groupMapReduce(i => (t.from(i), t.to(i)))(_ => 1L)(_ + _)
 
   /** Trips per unordered node pair and slice: (src <= dst, slice) → n. */
-  def sliceCounts(counts: Map[(Long, Long, Int, Int), Long],
-                  g: Granularity): Map[(Long, Long, Int), Long] =
-    counts.toSeq.groupMapReduce { case ((s, d, day, hour), _) =>
-      val slice = g match { case TNull => 0; case TDay => day; case THour => hour }
+  def sliceCounts(t: TripTable, g: Granularity): Map[(Long, Long, Int), Long] =
+    t.from.indices.groupMapReduce { i =>
+      val (s, d, dh) = (t.from(i), t.to(i), t.dayHour(i))
+      val slice = g match { case TNull => 0; case TDay => dh / 24; case THour => dh % 24 }
       (math.min(s, d), math.max(s, d), slice)
-    }(_._2)(_ + _)
+    }(_ => 1L)(_ + _)
 
   /** Node activity profiles: (node_id, slice) → trip-endpoint count.
     * A trip contributes both its endpoints, so any (i,j,s) trip implies
@@ -119,9 +127,8 @@ object TemporalGraphs {
     * sorted by (src, dst), with self-loops included (their trips are
     * co-active by definition — both endpoints are the same node).
     */
-  def weights(counts: Map[(Long, Long, Int, Int), Long], g: Granularity,
-              gamma: Double = DefaultGamma): Seq[(Long, Long, Double)] = {
-    val slices = sliceCounts(counts, g)
+  def weights(trips: TripTable, g: Granularity, gamma: Double = DefaultGamma): Seq[(Long, Long, Double)] = {
+    val slices = sliceCounts(trips, g)
     val p = profiles(slices)
     val total = p.groupMapReduce(_._1._1)(_._2)(_ + _)
     def q(node: Long, s: Int): Double = p((node, s)).toDouble / total(node)
@@ -135,10 +142,10 @@ object TemporalGraphs {
       .collect { case ((a, b), w) if w > 0 => (a, b, w) }
   }
 
-  /** [[weights]] of the trips' [[counts]] as a DataFrame: src, dst, weight. */
+  /** [[weights]] of the trips' [[table]] as a DataFrame: src, dst, weight. */
   def edges(spark: SparkSession, trips: DataFrame, g: Granularity,
             gamma: Double = DefaultGamma): DataFrame = {
     import spark.implicits._
-    weights(counts(trips), g, gamma).toDF("src", "dst", "weight")
+    weights(table(trips), g, gamma).toDF("src", "dst", "weight")
   }
 }

@@ -9,6 +9,7 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.types.StructType
 import repro.core.TemporalGraphs
+import repro.core.TemporalGraphs.TripTable
 import MobySchema._
 
 /** The paper's §III cleaning pipeline (produces Table I).
@@ -28,9 +29,10 @@ import MobySchema._
   *
   * The rentals are read by one Spark-core job without a shuffle and
   * without a query: each partition keeps its rentals that pass rules 4–5
-  * as (rental location, return location, day, hour), and the driver
-  * counts them ([[groups]]) and applies rule 6. The tasks get the valid
-  * ids as one broadcast, so a task does not grow with the number of
+  * as a [[repro.core.TemporalGraphs.TripTable]] of (rental location,
+  * return location, day and hour), and the driver concatenates the
+  * partitions' tables ([[groups]]) and applies rule 6. The tasks get the
+  * valid ids as one broadcast, so a task does not grow with the number of
   * locations.
   */
 object Cleaning {
@@ -39,15 +41,15 @@ object Cleaning {
     * @param stationPoints  (station_id, lat, lon) of the valid stations, by id
     * @param locationPoints (location_id, lat, lon) of the valid locations the
     *                       surviving rentals reference, by id
-    * @param counts         (rental_location_id, return_location_id, day, hour)
-    *                       → surviving rentals; day and hour are
-    *                       [[repro.core.TemporalGraphs.dayHour]] in the
+    * @param tripTable      the surviving rentals, one trip each, from the
+    *                       rental to the return location id; day and hour
+    *                       are [[repro.core.TemporalGraphs.dayHour]] in the
     *                       configured zone (default UTC), `raw.zone`
     * @param table1         the row counts before and after cleaning (Table I)
     */
   final case class CleanData(raw: MobyData, stationPoints: Array[(Long, Double, Double)],
                              locationPoints: Array[(Long, Double, Double)],
-                             counts: Map[(Long, Long, Int, Int), Long], table1: Report) {
+                             tripTable: TripTable, table1: Report) {
     /** rentals before cleaning */
     def origRentals: Long = table1.origRentals
 
@@ -59,7 +61,7 @@ object Cleaning {
 
     /** The surviving rentals, a lazy view for tests and callers that want
       * rows: the raw rentals whose two location ids are kept locations.
-      * The pipeline reads `counts` instead.
+      * The pipeline reads `tripTable` instead.
       */
     lazy val rentals: DataFrame = {
       val valid = locationPoints.map(_._1)
@@ -103,63 +105,47 @@ object Cleaning {
   /** Apply all six rules. Rules 1–3 run on the generated rows; the one
     * Spark job is [[groups]] over the raw rentals, which applies rules 4–5
     * with the valid location ids and writes no shuffle; rule 6 keeps the
-    * valid locations that a counted rental references. Day and hour are
+    * valid locations that a surviving rental references. Day and hour are
     * read in `data.zone`. Runs no query.
     */
   def clean(data: MobyData): CleanData = {
     val stations = spatiallyValid(data.stationRows, StationSchema)
     val validLocs = spatiallyValid(data.locationRows, LocationSchema)
     val validIds = validLocs.map(_._1)
-    val (origRentals, counts) = groups(data.rentalRows, validIds, data.zone)
-    // rule 6: whether each valid location is referenced by a counted rental
+    val (origRentals, trips) = groups(data.rentalRows, validIds, data.zone)
+    // rule 6: whether each valid location is referenced by a surviving rental
     val referenced = new Array[Boolean](validIds.length)
-    counts.keysIterator.foreach { case (a, b, _, _) =>
-      referenced(java.util.Arrays.binarySearch(validIds, a)) = true
-      referenced(java.util.Arrays.binarySearch(validIds, b)) = true
-    }
+    for (ids <- Seq(trips.from, trips.to); id <- ids)
+      referenced(java.util.Arrays.binarySearch(validIds, id)) = true
     val locations = validLocs.zip(referenced).collect { case (p, true) => p }
 
     val table1 = Report(data.stationRows.size.toLong, stations.length.toLong, origRentals,
-                        counts.valuesIterator.sum, data.locationRows.size.toLong, locations.length.toLong)
-    CleanData(data, stations, locations, counts, table1)
+                        trips.size.toLong, data.locationRows.size.toLong, locations.length.toLong)
+    CleanData(data, stations, locations, trips, table1)
   }
 
-  /** Rules 4–5 and the count of the survivors, in one Spark job without a
-    * shuffle: [[survivors]] with the ascending `valid` ids broadcast. The
-    * driver counts the surviving rentals per key. Returns (rentals read,
-    * counts). A surviving rental without a start time fails the job,
-    * naming its id.
+  /** Rules 4–5 in one Spark job without a shuffle: [[survivors]] with the
+    * ascending `valid` ids broadcast. Returns (rentals read, the surviving
+    * rentals' table), the partitions' tables concatenated in partition
+    * order. A surviving rental without a start time fails the job, naming
+    * its id.
     */
-  private[data] def groups(rentals: RDD[Row], valid: Array[Long],
-                           zone: ZoneId): (Long, Map[(Long, Long, Int, Int), Long]) = {
+  private[data] def groups(rentals: RDD[Row], valid: Array[Long], zone: ZoneId): (Long, TripTable) = {
     val ids = rentals.sparkContext.broadcast(valid)
     val parts = try survivors(rentals, ids, zone).collect() finally ids.destroy()
-    val counts = mutable.HashMap.empty[(Long, Long, Int, Int), Long]
-    for (p <- parts; i <- p.from.indices) {
-      val key = (p.from(i), p.to(i), p.dayHour(i) / 24, p.dayHour(i) % 24)
-      counts(key) = counts.getOrElse(key, 0L) + 1
-    }
-    (parts.iterator.map(_.read).sum, counts.toMap)
+    (parts.iterator.map(_._1).sum,
+     TripTable(parts.flatMap(_._2.from), parts.flatMap(_._2.to), parts.flatMap(_._2.dayHour)))
   }
 
-  /** One partition's share of [[groups]]: the rentals it read, and each
-    * rental it kept as (from(i), to(i), dayHour(i) / 24, dayHour(i) % 24)
-    * in parallel primitive arrays. The tasks do not count: on the generated
-    * data almost every kept rental has a key of its own (15,462 keys for
-    * 15,468 rentals at sf=0.25). A task result is Java-serialized, and
-    * primitive arrays go in bulk.
-    */
-  private[data] final class Survivors(val read: Long, val from: Array[Long], val to: Array[Long],
-                                      val dayHour: Array[Int]) extends Serializable
-
   /** The cleaning job's one stage: each partition keeps its rentals that
-    * pass rules 4–5 against the ascending `valid` ids as
-    * (rental_location_id, return_location_id, day, hour), day and hour the
-    * [[repro.core.TemporalGraphs.dayHour]] of start_ts in `zone`, counts
-    * every rental it reads and returns one [[Survivors]].
+    * pass rules 4–5 against the ascending `valid` ids as a [[TripTable]]
+    * from rental_location_id to return_location_id, day and hour the
+    * [[repro.core.TemporalGraphs.dayHour]] of start_ts in `zone`, and
+    * returns (the rentals it read, that table). A task result is
+    * Java-serialized, and primitive arrays go in bulk.
     */
   private[data] def survivors(rentals: RDD[Row], valid: Broadcast[Array[Long]],
-                              zone: ZoneId): RDD[Survivors] =
+                              zone: ZoneId): RDD[(Long, TripTable)] =
     rentals.mapPartitions { rows =>
       val ids = valid.value
       val (from, to, dayHour) = (mutable.ArrayBuilder.make[Long], mutable.ArrayBuilder.make[Long],
@@ -174,7 +160,7 @@ object Cleaning {
           from += r.getLong(From); to += r.getLong(To); dayHour += day * 24 + hour
         }
       }
-      Iterator.single(new Survivors(read, from.result(), to.result(), dayHour.result()))
+      Iterator.single((read, TripTable(from.result(), to.result(), dayHour.result())))
     }
 
   /** Original-vs-cleaned counts (the content of Table I), as `clean`

@@ -48,4 +48,12 @@ class SourceSpec extends AnyFunSuite {
     val hits = programHits(Seq("typedLit("))
     assert(hits.isEmpty, hits.mkString("\n"))
   }
+
+  // the trips travel as one TemporalGraphs.TripTable from the cleaning job
+  // to Louvain; a map keyed by boxed (src, dst, day, hour) tuples held a
+  // key per trip, since almost no two trips share one
+  test("the program keys no map by boxed (src, dst, day, hour) tuples") {
+    val hits = programHits(Seq("(Long, Long, Int, Int)"))
+    assert(hits.isEmpty, hits.mkString("\n"))
+  }
 }

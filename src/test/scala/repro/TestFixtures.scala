@@ -4,6 +4,7 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.StructType
 import repro.core._
+import repro.core.TemporalGraphs.TripTable
 import repro.data.{Cleaning, MobySynth}
 import repro.data.MobySchema._
 
@@ -29,6 +30,19 @@ object TestFixtures {
   lazy val basic = Pipeline.communities(spark, selected, TemporalGraphs.TNull)
   lazy val day = Pipeline.communities(spark, selected, TemporalGraphs.TDay)
   lazy val hourly = Pipeline.communities(spark, selected, TemporalGraphs.THour)
+
+  /** `t` as a multiset: (from, to, day, hour) → trips. A [[TripTable]]
+    * compares its arrays by reference, so tests compare tables through it.
+    */
+  def tripCounts(t: TripTable): Map[(Long, Long, Int, Int), Long] =
+    t.from.indices
+      .groupMapReduce(i => (t.from(i), t.to(i), t.dayHour(i) / 24, t.dayHour(i) % 24))(_ => 1L)(_ + _)
+
+  /** The [[TripTable]] of `counts`: n trips for each (from, to, day, hour) → n. */
+  def tripTable(counts: Map[(Long, Long, Int, Int), Long]): TripTable = {
+    val trips = counts.toSeq.flatMap { case (key, n) => Seq.fill(n.toInt)(key) }
+    TripTable(trips.map(_._1).toArray, trips.map(_._2).toArray, trips.map(t => t._3 * 24 + t._4).toArray)
+  }
 
   /** A `MobyData` over the rows of DataFrames with the generator's columns:
     * the stations and locations collected, the rentals' RDD and no

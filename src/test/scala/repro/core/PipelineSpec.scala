@@ -84,7 +84,7 @@ class PipelineSpec extends SparkSpec {
 
   test("community tables start no Spark job once the selected graph is collected") {
     val selected = res.selected
-    assert(selected.counts.nonEmpty && selected.isNew.nonEmpty)
+    assert(selected.tripTable.size > 0 && selected.isNew.nonEmpty)
     val jobs = jobsStarted {
       for (g <- Seq(TemporalGraphs.TNull, TemporalGraphs.TDay, TemporalGraphs.THour))
         Pipeline.communities(spark, selected, g)
@@ -97,7 +97,7 @@ class PipelineSpec extends SparkSpec {
   // Sci. Rep. 2019)
   test("every Louvain community is connected over its positive-weight edges at every granularity") {
     for (g <- Seq(TemporalGraphs.TNull, TemporalGraphs.TDay, TemporalGraphs.THour)) {
-      val edges = TemporalGraphs.weights(res.selected.counts, g)
+      val edges = TemporalGraphs.weights(res.selected.tripTable, g)
       val community = Louvain.run(edges).community
       val inner = edges.collect { case (a, b, w) if w > 0 && community(a) == community(b) => Seq(a -> b, b -> a) }
         .flatten.groupMap(_._1)(_._2)
@@ -148,7 +148,8 @@ class PipelineSpec extends SparkSpec {
   test("Tables I-VI and the counts do not depend on the JVM or session time zone") {
     def tables(): Seq[(String, Any)] = {
       val r = Pipeline.run(spark, cfg)
-      Seq("cleaned counts" -> r.clean.counts, "selected counts" -> r.selected.counts,
+      Seq("cleaned counts" -> repro.TestFixtures.tripCounts(r.clean.tripTable),
+          "selected counts" -> repro.TestFixtures.tripCounts(r.selected.tripTable),
           "Table I" -> r.report, "Table II" -> r.candidate.stats, "Table III" -> r.selected.stats) ++
         Seq(TemporalGraphs.TNull, TemporalGraphs.TDay, TemporalGraphs.THour)
           .map(g => s"communities ${g.name}" -> Pipeline.communities(spark, r.selected, g).summary)

@@ -3,6 +3,7 @@ package repro.core
 import java.time.ZoneId
 import org.apache.spark.sql.functions.{expr, hour}
 import repro.{Oracle, SparkSpec}
+import repro.TestFixtures.tripCounts
 import repro.data.Cleaning
 import repro.geo.Haversine
 
@@ -21,10 +22,10 @@ class SelectedGraphSpec extends SparkSpec {
   }
 
   test("build, counts and stats start no Spark job once the candidate counts are collected") {
-    assert(cand.counts.nonEmpty)
+    assert(cand.tripTable.size > 0)
     val jobs = jobsStarted {
       val g = SelectedGraph.build(spark, cand, sel)
-      assert(g.counts.nonEmpty && g.stats.totalTrips > 0)
+      assert(g.tripTable.size > 0 && g.stats.totalTrips > 0)
     }
     assert(jobs === 0)
   }
@@ -43,9 +44,9 @@ class SelectedGraphSpec extends SparkSpec {
         .groupBy($"src_node", $"dst_node", expr("weekday(start_ts)") as "day", hour($"start_ts") as "hour")
         .count().as[(Long, Long, Int, Int, Long)].collect()
         .map { case (s, d, day, h, n) => (s, d, day, h) -> n }.toMap
-      assert(c.counts === explicit, tz)
+      assert(tripCounts(c.tripTable) === explicit, tz)
       val g = SelectedGraph.build(spark, c, StationSelection.select(spark, c))
-      assert(g.counts === TemporalGraphs.counts(g.trips), tz)
+      assert(tripCounts(g.tripTable) === tripCounts(TemporalGraphs.table(g.trips)), tz)
     } finally spark.conf.set(zoneKey, zone)
   }
 

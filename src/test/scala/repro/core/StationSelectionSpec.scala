@@ -18,7 +18,8 @@ class StationSelectionSpec extends SparkSpec {
     val counts = roundTrips.map { case (n, trips) => (n, n, 0, 10) -> trips }
     // first evaluated inside jobsStarted, which counts the jobs it starts
     lazy val res = StationSelection.select(spark,
-      CandidateGraph.Result(nodes, Map.empty, counts, () => spark.emptyDataFrame), minDistM = 250.0)
+      CandidateGraph.Result(nodes, Map.empty, repro.TestFixtures.tripTable(counts), () => spark.emptyDataFrame),
+      minDistM = 250.0)
     assert(jobsStarted(res) === 0)
     res
   }

@@ -96,7 +96,7 @@ class TemporalGraphsSpec extends SparkSpec {
     // Europe/Dublin moves hours (and days near midnight) against UTC and has DST switch days
     try for (tz <- Seq("UTC", "Europe/Dublin")) {
       spark.conf.set(zoneKey, tz)
-      val all = counts(trips)
+      val all = table(trips)
       for (g <- Seq(TNull, TDay, THour)) {
         // selected first: TNull's lit(0) in a groupBy would be a column ordinal
         val expected = trips
@@ -125,7 +125,7 @@ class TemporalGraphsSpec extends SparkSpec {
   }
 
   test("profiles count trip endpoints per slice") {
-    val p = profiles(sliceCounts(counts(toyTrips), TDay))
+    val p = profiles(sliceCounts(table(toyTrips), TDay))
     // node 1: trips 1 (Mon, src), 2 (Mon, dst), 3 (Sat, src)
     assert(p((1L, 0)) === 2L)
     assert(p((1L, 5)) === 1L)

@@ -80,8 +80,8 @@ class CleaningSpec extends SparkSpec {
                  expr("weekday(start_ts)") as "day", hour($"start_ts") as "hour")
         .count().as[(Long, Long, Int, Int, Long)].collect()
         .map { case (a, b, day, h, n) => (a, b, day, h) -> n }.toMap
-      assert(c.counts === explicit, tz)
-      assert(c.counts.values.sum === c.rentals.count(), tz)
+      assert(TestFixtures.tripCounts(c.tripTable) === explicit, tz)
+      assert(c.tripTable.size === c.rentals.count(), tz)
     } finally spark.conf.set(zoneKey, zone)
   }
 
@@ -132,7 +132,7 @@ class CleaningSpec extends SparkSpec {
     for ((name, rentals) <- layouts) {
       val raw = data.copy(rentalRows = rentals)
       val c = Cleaning.clean(raw)
-      assert(c.counts === cleaned.counts, name)
+      assert(TestFixtures.tripCounts(c.tripTable) === TestFixtures.tripCounts(cleaned.tripTable), name)
       assert(c.origRentals === cleaned.origRentals, name)
       assert(Cleaning.report(raw, c) === rpt, name)
     }
@@ -165,7 +165,8 @@ class CleaningSpec extends SparkSpec {
         .filter(from.isNotNull && to.isNotNull && from.isin(valid: _*) && to.isin(valid: _*))
         .groupBy(slices: _*).count().collect()
         .map(r => (r.getLong(0), r.getLong(1), r.getInt(2), r.getInt(3)) -> r.getLong(4)).toMap
-      val (read, got) = Cleaning.groups(rentals.rdd, valid.toArray, zone)
+      val (read, table) = Cleaning.groups(rentals.rdd, valid.toArray, zone)
+      val got = TestFixtures.tripCounts(table)
       assert(got === reference, valid)
       assert(got(split) === 4L, valid)
       assert(got.values.sum === kept, valid)

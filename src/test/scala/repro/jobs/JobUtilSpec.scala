@@ -32,6 +32,8 @@ class JobUtilSpec extends SparkSpec {
   }
 
   test("config rejects malformed numbers") {
-    intercept[NumberFormatException] { JobUtil.config(Array("not-a-number")) }
+    // NumberFormatException is an IllegalArgumentException
+    for (sf <- Seq("not-a-number", "0", "-1", "NaN", "Infinity"))
+      intercept[IllegalArgumentException](JobUtil.config(Array(sf)))
   }
 }
