@@ -5,6 +5,7 @@ import java.util.Arrays
 import scala.math.Ordering.Double.TotalOrdering
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.geo.PointTable
 
 /** Complete-linkage hierarchical agglomerative clustering with a diameter
   * cut (the paper's §IV-A graph-construction step).
@@ -125,14 +126,13 @@ object HAC {
   /** A cluster: its id (the least member id), centroid and point count. */
   final case class Cluster(id: Long, lat: Double, lon: Double, nPoints: Long)
 
-  /** Cluster the points (ids(k), lats(k), lons(k)), ids strictly ascending,
-    * with complete linkage and diameter cut `cutM`; if `minCentroidSepM` > 0,
-    * post-merge clusters whose centroids are closer than that (paper Rule 2).
-    * Returns each point's cluster id and the clusters in id order.
+  /** Cluster `points` with complete linkage and diameter cut `cutM`; if
+    * `minCentroidSepM` > 0, post-merge clusters whose centroids are closer
+    * than that (paper Rule 2). Returns each point's cluster id and the
+    * clusters in id order.
     */
-  def local(ids: Array[Long], lats: Array[Double], lons: Array[Double], cutM: Double,
-            minCentroidSepM: Double): (Array[Long], Seq[Cluster]) = {
-    require(ids.indices.drop(1).forall(k => ids(k - 1) < ids(k)), "point ids must be strictly ascending")
+  def local(points: PointTable, cutM: Double, minCentroidSepM: Double): (Array[Long], Seq[Cluster]) = {
+    val PointTable(ids, lats, lons) = points
     val n = ids.length
     val parent = completeLinkage(SpatialGrid.pairs(lats, lons, cutM))
 
@@ -172,10 +172,10 @@ object HAC {
   def cluster(spark: SparkSession, points: DataFrame, cutM: Double,
               minCentroidSepM: Double = 0.0): Result = {
     import spark.implicits._
-    val (ids, lats, lons) = SpatialGrid.collectSorted(points, "id").unzip3
-    val (clusterOf, clusters) = local(ids, lats, lons, cutM, minCentroidSepM)
+    val sorted = SpatialGrid.collectSorted(points, "id")
+    val (clusterOf, clusters) = local(sorted, cutM, minCentroidSepM)
     Result(
-      ids.zip(clusterOf).toSeq.toDF("id", "cluster_id"),
+      sorted.ids.zip(clusterOf).toSeq.toDF("id", "cluster_id"),
       clusters.map(c => (c.id, c.lat, c.lon, c.nPoints)).toDF("cluster_id", "c_lat", "c_lon", "n_points"))
   }
 }

@@ -5,7 +5,7 @@ import java.util.Arrays
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.{DoubleType, LongType}
-import repro.geo.Haversine
+import repro.geo.{Haversine, PointTable}
 
 /** Grid blocking for neighbour-pair generation, on the driver.
   *
@@ -197,18 +197,16 @@ object SpatialGrid {
     Neighbours(offsets, nbr, metres)
   }
 
-  /** The (id, lat, lon) rows of `table`, with the id in column `id`,
-    * collected and sorted by id.
-    */
-  def collectSorted(table: DataFrame, id: String): Array[(Long, Double, Double)] =
-    table.select(col(id).cast(LongType), col("lat").cast(DoubleType), col("lon").cast(DoubleType))
-      .collect().map(r => (r.getLong(0), r.getDouble(1), r.getDouble(2))).sortBy(_._1)
+  /** The points of `table`, with the id in column `id`, collected. */
+  def collectSorted(table: DataFrame, id: String): PointTable =
+    PointTable.ofRows(table.select(col(id).cast(LongType), col("lat").cast(DoubleType),
+                                   col("lon").cast(DoubleType)).collect(), 1, 2)
 
   /** [[pairs]] of `points` (id, lat, lon) as id_a < id_b, dist_m. */
   def neighbourPairs(spark: SparkSession, points: DataFrame, thresholdM: Double): DataFrame = {
     import spark.implicits._
-    val (ids, lats, lons) = collectSorted(points, "id").unzip3
-    pairs(lats, lons, thresholdM).upperPairs.map { case (i, j, d) => (ids(i), ids(j), d) }.toIndexedSeq
+    val p = collectSorted(points, "id")
+    pairs(p.lats, p.lons, thresholdM).upperPairs.map { case (i, j, d) => (p.ids(i), p.ids(j), d) }.toIndexedSeq
       .toDF("id_a", "id_b", "dist_m")
   }
 }

@@ -60,44 +60,44 @@ object CandidateGraph {
     }
   }
 
-  /** Each location's nearest station as (metres, station_id), computed on
-    * the driver (|L|·|S| ≈ 1.3 M distances at sf=1).
+  /** Each location's nearest station as location_id, nearest_station,
+    * station_dist_m, by [[repro.geo.Haversine.nearest]] on the driver.
     */
-  private def nearest(locations: Array[(Long, Double, Double)],
-                      stations: Array[(Long, Double, Double)]): Array[(Double, Long)] = {
-    require(stations.nonEmpty, "the candidate graph needs at least one fixed station")
-    val points = stations.toSeq
-    locations.map { case (_, la, lo) => Haversine.nearest(la, lo, points) }
-  }
-
-  /** [[nearest]] as location_id, nearest_station, station_dist_m. */
   def nearestStation(locations: DataFrame, stations: DataFrame): DataFrame = {
     import locations.sparkSession.implicits._
-    val locs = SpatialGrid.collectSorted(locations, "location_id")
-    locs.zip(nearest(locs, SpatialGrid.collectSorted(stations, "station_id"))).toSeq
-      .map { case ((l, _, _), (d, s)) => (l, s, d) }
-      .toDF("location_id", "nearest_station", "station_dist_m")
+    val (locs, sts) = (SpatialGrid.collectSorted(locations, "location_id"),
+                       SpatialGrid.collectSorted(stations, "station_id"))
+    locs.ids.indices.map { k =>
+      val (d, s) = Haversine.nearest(locs.lats(k), locs.lons(k), sts)
+      (locs.ids(k), s, d)
+    }.toDF("location_id", "nearest_station", "station_dist_m")
   }
 
   /** Build the candidate graph from cleaned data, on the driver: the
     * geometry runs over the cleaned station and location points, in id
     * order, and `tripTable` is the cleaned trips relabelled location →
-    * node. Starts no Spark job.
+    * node. Every station id must be below every candidate node id, so the
+    * nodes are in ascending id order. Starts no Spark job.
     */
   def build(@scala.annotation.unused("perfbench/Harness.scala passes it") spark: SparkSession,
             data: CleanData, preAssignM: Double = 50.0, hacCutM: Double = 100.0,
             centroidSepM: Double = 50.0): Result = {
-    val stations = data.stationPoints.sortBy(_._1)
-    val locs = data.locationPoints.sortBy(_._1)
-    val near = nearest(locs, stations)
+    val (stations, locs) = (data.stationPoints, data.locationPoints)
+    require(stations.size > 0, "the candidate graph needs at least one fixed station")
+    val near = Array.tabulate(locs.size)(k => Haversine.nearest(locs.lats(k), locs.lons(k), stations))
 
     // locations within preAssignM join their station; the rest are clustered
-    val (pre, rest) = locs.indices.partition(k => near(k)._1 <= preAssignM)
-    val (ids, lats, lons) = rest.map(locs(_)).toArray.unzip3
-    val (clusterOf, clusters) = HAC.local(ids, lats, lons, hacCutM, centroidSepM)
-    val nodeOf = (pre.map(k => locs(k)._1 -> near(k)._2) ++
-      ids.zip(clusterOf.map(_ + CandidateOffset))).toMap
-    val nodes = stations.toSeq.map { case (s, la, lo) => Node(s, la, lo, isStation = true) } ++
+    val pre = locs.ids.indices.filter(k => near(k)._1 <= preAssignM)
+    val rest = locs.subset(k => !(near(k)._1 <= preAssignM))
+    val (clusterOf, clusters) = HAC.local(rest, hacCutM, centroidSepM)
+    for (c <- clusters.headOption)
+      require(stations.ids.last < c.id + CandidateOffset,
+        s"station id ${stations.ids.last} is not below candidate node id ${c.id + CandidateOffset} " +
+          s"(location ${c.id} + $CandidateOffset)")
+    val nodeOf = (pre.map(k => locs.ids(k) -> near(k)._2) ++
+      rest.ids.zip(clusterOf.map(_ + CandidateOffset))).toMap
+    val nodes =
+      stations.ids.indices.map(k => Node(stations.ids(k), stations.lats(k), stations.lons(k), isStation = true)) ++
       clusters.map(c => Node(c.id + CandidateOffset, c.lat, c.lon, isStation = false))
 
     Result(nodes, nodeOf, data.tripTable.relabel(nodeOf), () => data.rentals)

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.geo.Haversine
+import repro.geo.{Haversine, PointTable}
 
 /** The selected graph (paper §V-B, Table III): pre-existing stations plus
   * the candidates chosen by Algorithm 1. Trips at rejected candidates are
@@ -65,7 +65,7 @@ object SelectedGraph {
 
     // nearest final station for every rejected candidate node (driver-side:
     // ~1k rejected × ~240 stations)
-    val finalPoints = finals.map(n => (n.id, n.lat, n.lon))
+    val finalPoints = PointTable(finals.map(_.id).toArray, finals.map(_.lat).toArray, finals.map(_.lon).toArray)
     val remap: Map[Long, Long] = selection.candidates.filterNot(_.selected)
       .map(r => r.nodeId -> Haversine.nearest(r.lat, r.lon, finalPoints)._2).toMap
     val node = (n: Long) => remap.getOrElse(n, n)

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.SparkSession
-import repro.geo.Haversine
+import repro.geo.{Haversine, PointTable}
 
 /** The paper's Algorithm 1 — station ranking and selection.
   *
@@ -40,7 +40,8 @@ object StationSelection {
     val stations = candidate.nodes.filter(_.isStation)
     require(stations.nonEmpty, "no fixed stations")
     val threshold = stations.map(s => deg(s.id)).min
-    val stationPoints = stations.map(s => (s.id, s.lat, s.lon))
+    val stationPoints =
+      PointTable(stations.map(_.id).toArray, stations.map(_.lat).toArray, stations.map(_.lon).toArray)
 
     final case class C(id: Long, lat: Double, lon: Double, deg: Long, var score: Long)
     val cands = candidate.nodes.filterNot(_.isStation).sortBy(_.id)

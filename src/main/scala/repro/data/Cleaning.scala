@@ -10,6 +10,7 @@ import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.types.StructType
 import repro.core.TemporalGraphs
 import repro.core.TemporalGraphs.TripTable
+import repro.geo.PointTable
 import MobySchema._
 
 /** The paper's §III cleaning pipeline (produces Table I).
@@ -38,17 +39,15 @@ import MobySchema._
 object Cleaning {
 
   /** @param raw            the generated tables `clean` read
-    * @param stationPoints  (station_id, lat, lon) of the valid stations, by id
-    * @param locationPoints (location_id, lat, lon) of the valid locations the
-    *                       surviving rentals reference, by id
+    * @param stationPoints  the valid stations
+    * @param locationPoints the valid locations the surviving rentals reference
     * @param tripTable      the surviving rentals, one trip each, from the
     *                       rental to the return location id; day and hour
     *                       are [[repro.core.TemporalGraphs.dayHour]] in the
     *                       configured zone (default UTC), `raw.zone`
     * @param table1         the row counts before and after cleaning (Table I)
     */
-  final case class CleanData(raw: MobyData, stationPoints: Array[(Long, Double, Double)],
-                             locationPoints: Array[(Long, Double, Double)],
+  final case class CleanData(raw: MobyData, stationPoints: PointTable, locationPoints: PointTable,
                              tripTable: TripTable, table1: Report) {
     /** rentals before cleaning */
     def origRentals: Long = table1.origRentals
@@ -64,14 +63,12 @@ object Cleaning {
       * The pipeline reads `tripTable` instead.
       */
     lazy val rentals: DataFrame = {
-      val valid = locationPoints.map(_._1)
+      val valid = locationPoints.ids
       raw.spark.createDataFrame(raw.rentalRows.filter(survives(_, valid)), RentalSchema)
     }
 
-    private def kept(rows: Seq[Row], points: Array[(Long, Double, Double)], schema: StructType) = {
-      val ids = points.map(_._1)
-      raw.spark.createDataFrame(rows.filter(r => contains(ids, r.getLong(0))).asJava, schema)
-    }
+    private def kept(rows: Seq[Row], points: PointTable, schema: StructType) =
+      raw.spark.createDataFrame(rows.filter(r => contains(points.ids, r.getLong(0))).asJava, schema)
   }
 
   final case class Report(origStations: Long, cleanStations: Long,
@@ -83,16 +80,15 @@ object Cleaning {
   private val From = RentalSchema.fieldIndex("rental_location_id")
   private val To = RentalSchema.fieldIndex("return_location_id")
 
-  /** Rules 1–3: (id, lat, lon) of the `rows` of a table with `schema`, id
-    * first, whose lat and lon are present, inside Dublin and on land, by id.
+  /** Rules 1–3: the points of the `rows` of a table with `schema`, id
+    * first, whose lat and lon are present, inside Dublin and on land.
     */
-  private def spatiallyValid(rows: Seq[Row], schema: StructType): Array[(Long, Double, Double)] = {
+  private def spatiallyValid(rows: Seq[Row], schema: StructType): PointTable = {
     val (lat, lon) = (schema.fieldIndex("lat"), schema.fieldIndex("lon"))
-    rows.iterator
+    PointTable.ofRows(rows.iterator
       .filter(r => !r.isNullAt(lat) && !r.isNullAt(lon) &&
         inDublin(r.getDouble(lat), r.getDouble(lon)) && onLand(r.getDouble(lat), r.getDouble(lon)))
-      .map(r => (r.getLong(0), r.getDouble(lat), r.getDouble(lon)))
-      .toArray.sortBy(_._1)
+      .toArray, lat, lon)
   }
 
   /** `id` is in the ascending `ids`. */
@@ -111,16 +107,15 @@ object Cleaning {
   def clean(data: MobyData): CleanData = {
     val stations = spatiallyValid(data.stationRows, StationSchema)
     val validLocs = spatiallyValid(data.locationRows, LocationSchema)
-    val validIds = validLocs.map(_._1)
-    val (origRentals, trips) = groups(data.rentalRows, validIds, data.zone)
+    val (origRentals, trips) = groups(data.rentalRows, validLocs.ids, data.zone)
     // rule 6: whether each valid location is referenced by a surviving rental
-    val referenced = new Array[Boolean](validIds.length)
+    val referenced = new Array[Boolean](validLocs.size)
     for (ids <- Seq(trips.from, trips.to); id <- ids)
-      referenced(java.util.Arrays.binarySearch(validIds, id)) = true
-    val locations = validLocs.zip(referenced).collect { case (p, true) => p }
+      referenced(java.util.Arrays.binarySearch(validLocs.ids, id)) = true
+    val locations = validLocs.subset(referenced(_))
 
-    val table1 = Report(data.stationRows.size.toLong, stations.length.toLong, origRentals,
-                        trips.size.toLong, data.locationRows.size.toLong, locations.length.toLong)
+    val table1 = Report(data.stationRows.size.toLong, stations.size.toLong, origRentals,
+                        trips.size.toLong, data.locationRows.size.toLong, locations.size.toLong)
     CleanData(data, stations, locations, trips, table1)
   }
 

@@ -26,25 +26,23 @@ object Haversine {
     2 * EarthRadiusM * math.asin(math.sqrt(math.min(1.0, a)))
   }
 
-  /** The point nearest to (lat, lon) as (metres, id), over points given
-    * as (id, lat, lon): the least such pair, with metres compared by
-    * `java.lang.Double.compare`, so a distance tie goes to the lower id.
-    * Each distance is `metres(lat, lon, point's lat, point's lon)`. One
-    * pass that keeps the best metres and id, allocating nothing per point.
+  /** The point of `points` nearest to (lat, lon) as (metres, id): the
+    * least such pair, with metres compared by `java.lang.Double.compare`,
+    * so a distance tie goes to the lower id, the first in the table. Each
+    * distance is `metres(lat, lon, point's lat, point's lon)`. One pass
+    * over the columns that allocates nothing per point.
     */
-  def nearest(lat: Double, lon: Double, points: Iterable[(Long, Double, Double)]): (Double, Long) = {
-    val it = points.iterator
-    if (!it.hasNext) throw new UnsupportedOperationException("nearest of no points")
-    val (id0, lat0, lon0) = it.next()
-    var bestM = metres(lat, lon, lat0, lon0)
-    var bestId = id0
-    while (it.hasNext) {
-      val (id, pLat, pLon) = it.next()
-      val d = metres(lat, lon, pLat, pLon)
-      val c = java.lang.Double.compare(d, bestM)
-      if (c < 0 || (c == 0 && id < bestId)) { bestM = d; bestId = id }
+  def nearest(lat: Double, lon: Double, points: PointTable): (Double, Long) = {
+    if (points.size == 0) throw new UnsupportedOperationException("nearest of no points")
+    var best = 0
+    var bestM = metres(lat, lon, points.lats(0), points.lons(0))
+    var k = 1
+    while (k < points.size) {
+      val d = metres(lat, lon, points.lats(k), points.lons(k))
+      if (java.lang.Double.compare(d, bestM) < 0) { bestM = d; best = k }
+      k += 1
     }
-    (bestM, bestId)
+    (bestM, points.ids(best))
   }
 
   /** Metres of one degree of latitude (constant on the sphere). */

@@ -102,7 +102,7 @@ object PaperTables {
     val header = Seq(
       s"$name — communities: paper ${paper._1} @ Q=${paper._2}, " +
         f"ours ${s.nCommunities} @ Q=${s.modularity}%.2f " +
-        f"(self-contained: paper ~74%%, ours ${s.selfContainment * 100}%.0f%%)",
+        f"(self-contained: paper ~${PaperSelfContainment * 100}%.0f%%, ours ${s.selfContainment * 100}%.0f%%)",
       row(Seq("id", "old", "new", "total", "within", "out", "in", "total"), w))
     val ours = s.rows.map { r =>
       row(Seq(r.communityId, r.oldStations, r.newStations, r.totalStations,

@@ -56,4 +56,13 @@ class SourceSpec extends AnyFunSuite {
     val hits = programHits(Seq("(Long, Long, Int, Int)"))
     assert(hits.isEmpty, hits.mkString("\n"))
   }
+
+  // the points travel as one repro.geo.PointTable from the cleaning rules
+  // to HAC and every nearest search; boxed (id, lat, lon) tuples, and the
+  // unzip3 that turns them into columns, were a second format of the same
+  // points
+  test("the program holds no boxed (id, lat, lon) point tuples and no unzip3") {
+    val hits = programHits(Seq("(Long, Double, Double)", "unzip3"))
+    assert(hits.isEmpty, hits.mkString("\n"))
+  }
 }

@@ -126,4 +126,13 @@ class LouvainSpec extends SparkSpec {
     val r = Louvain.run(ringOfCliques(6, 4))
     assert(r.levels >= 1)
   }
+
+  test("an exact modularity-gain tie goes to the smallest candidate community id") {
+    // heavy pairs 2-4 and 3-5, and node 1 tied to 2 and 3 by equal edges.
+    // Once the pairs have formed, node 1 gains bitwise-equally by joining
+    // community 4 (2 and 4) or community 5 (3 and 5), and joins 4
+    val edges = Seq((1L, 2L, 1.0), (1L, 3L, 1.0), (2L, 4L, 10.0), (3L, 5L, 10.0))
+    val r = Louvain.run(edges)
+    assert(r.community === Map(1L -> 1L, 2L -> 1L, 4L -> 1L, 3L -> 3L, 5L -> 3L))
+  }
 }

@@ -5,8 +5,9 @@ import java.security.MessageDigest
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.data.MobySynth
-import repro.geo.Haversine
+import repro.core.TemporalGraphs.TripTable
+import repro.data.{Cleaning, MobySynth}
+import repro.geo.{Haversine, PointTable}
 
 /** Tests for candidate-graph construction (paper §IV-A, Table II). */
 class CandidateGraphSpec extends SparkSpec {
@@ -76,13 +77,28 @@ class CandidateGraphSpec extends SparkSpec {
   }
 
   test("the candidate graph does not depend on row order or partitioning") {
+    // the cleaned points are sorted by id, so the raw rows are shuffled
+    // and the rentals repartitioned before cleaning
     val rnd = new scala.util.Random(3)
-    def shuffled(points: Array[(Long, Double, Double)]) = rnd.shuffle(points.toSeq).toArray
-    val other = CandidateGraph.build(spark, cleaned.copy(stationPoints = shuffled(cleaned.stationPoints),
-      locationPoints = shuffled(cleaned.locationPoints)))
+    val raw = cleaned.raw
+    val other = CandidateGraph.build(spark, Cleaning.clean(raw.copy(stationRows = rnd.shuffle(raw.stationRows),
+      locationRows = rnd.shuffle(raw.locationRows), rentalRows = raw.rentalRows.repartition(3))))
     assert(other.nodes.sortBy(_.id) === cand.nodes.sortBy(_.id))
     assert(other.edgeTrips === cand.edgeTrips)
     assert(other.nodeOf === cand.nodeOf)
+  }
+
+  test("build fails unless every station id is below every candidate node id") {
+    // a lone location 2.2 km from the one station becomes candidate node
+    // 5 + CandidateOffset, which station 1,000,005 would merge with
+    def toy(stationId: Long) = Cleaning.CleanData(cleaned.raw,
+      PointTable(Array(stationId), Array(53.34), Array(-6.26)), PointTable(Array(5L), Array(53.36), Array(-6.26)),
+      TripTable(Array(5L), Array(5L), Array(10)), cleaned.table1)
+    for (station <- Seq(1000005L, 1000006L)) {
+      val e = intercept[IllegalArgumentException](CandidateGraph.build(spark, toy(station)))
+      assert(e.getMessage.contains(s"station id $station is not below candidate node id 1000005"), e.getMessage)
+    }
+    assert(CandidateGraph.build(spark, toy(1000004L)).nodes.map(_.id) === Seq(1000004L, 1000005L))
   }
 
   test("station nodes carry station coords; candidate nodes carry centroids") {

@@ -110,6 +110,18 @@ class StationSelectionSpec extends SparkSpec {
     assert(selectedIds === Set(101L))
   }
 
+  test("pairwise pruning of equal degrees zeroes the larger id (toy)") {
+    // two degree-10 candidates 100 m apart, far from the one station
+    val mLat = Haversine.MetresPerDegLat
+    val nodes = Seq(
+      CandidateGraph.Node(0L, 53.40, -6.40, isStation = true),
+      CandidateGraph.Node(101L, 53.33, -6.26, isStation = false),
+      CandidateGraph.Node(102L, 53.33 + 100 / mLat, -6.26, isStation = false))
+    val res = selectToy(nodes, Map(0L -> 1L, 101L -> 5L, 102L -> 5L))
+    assert(res.selected.map(_.nodeId) === Seq(101L))
+    assert(res.candidates.find(_.nodeId == 102L).map(c => (c.degree, c.score)) === Some((10L, 0L)))
+  }
+
   test("degree threshold rejects low-traffic candidates (toy)") {
     val nodes = Seq(
       CandidateGraph.Node(0L, 53.40, -6.40, isStation = true),

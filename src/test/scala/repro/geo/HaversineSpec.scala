@@ -92,4 +92,47 @@ class HaversineSpec extends SparkSpec {
     val d = Haversine.metres(53.0, -6.2, 53.001, -6.2)
     assert(math.abs(d - Haversine.MetresPerDegLat * 0.001) < 0.01)
   }
+
+  test("nearest: the least distance wins, and an exact tie goes to the lower id") {
+    // dyadic degrees: points 1/4096 degree north and south of the query, or
+    // 1/2048 degree east and west, are at bitwise-equal distances
+    val (la, lo) = (53.25, -6.25)
+    val (north, south) = (la + 1 / 4096.0, la - 1 / 4096.0)
+    val (east, west) = (lo + 1 / 2048.0, lo - 1 / 2048.0)
+    assert(Haversine.metres(la, lo, north, lo) == Haversine.metres(la, lo, south, lo))
+    assert(Haversine.metres(la, lo, la, east) == Haversine.metres(la, lo, la, west))
+    val dNorth = Haversine.metres(la, lo, north, lo)
+    def nearest(ids: Array[Long], lats: Array[Double], lons: Array[Double]) =
+      Haversine.nearest(la, lo, PointTable(ids, lats, lons))
+    // the far point first, then the tied pair: the lower of the two ids
+    assert(nearest(Array(2L, 5L, 9L), Array(la + 0.01, south, north), Array(lo, lo, lo)) === (dNorth, 5L))
+    // a tie with the first point keeps it
+    assert(nearest(Array(1L, 4L), Array(north, south), Array(lo, lo)) === (dNorth, 1L))
+    assert(nearest(Array(1L, 4L), Array(la, la), Array(west, east))._2 === 1L)
+    // a strictly nearer later point wins
+    assert(nearest(Array(1L, 4L, 6L), Array(north, la + 0.5 / 4096.0, south), Array(lo, lo, lo))._2 === 4L)
+  }
+
+  test("nearest of no points fails") {
+    val e = intercept[UnsupportedOperationException](
+      Haversine.nearest(53.3, -6.2, PointTable(Array.empty, Array.empty, Array.empty)))
+    assert(e.getMessage === "nearest of no points")
+  }
+
+  test("PointTable: equal column lengths and strictly ascending ids") {
+    intercept[IllegalArgumentException](PointTable(Array(1L, 2L), Array(53.3), Array(-6.2, -6.3)))
+    val e = intercept[IllegalArgumentException](PointTable(Array(2L, 2L), Array(53.3, 53.4), Array(-6.2, -6.3)))
+    assert(e.getMessage.contains("point ids must be strictly ascending"))
+    intercept[IllegalArgumentException](PointTable(Array(3L, 2L), Array(53.3, 53.4), Array(-6.2, -6.3)))
+    val t = PointTable(Array(2L, 5L, 8L), Array(53.2, 53.5, 53.8), Array(-6.2, -6.5, -6.8))
+    val kept = t.subset(_ != 1)
+    assert(kept.ids.toSeq === Seq(2L, 8L) && kept.lats.toSeq === Seq(53.2, 53.8) && kept.lons.toSeq === Seq(-6.2, -6.8))
+  }
+
+  test("PointTable.ofRows sorts the rows by id and reads the named columns") {
+    import org.apache.spark.sql.Row
+    val t = PointTable.ofRows(Array(Row(9L, "a", 53.9, -6.9), Row(1L, "b", 53.1, -6.1), Row(4L, "c", 53.4, -6.4)), 2, 3)
+    assert(t.ids.toSeq === Seq(1L, 4L, 9L))
+    assert(t.lats.toSeq === Seq(53.1, 53.4, 53.9) && t.lons.toSeq === Seq(-6.1, -6.4, -6.9))
+  }
 }

@@ -103,4 +103,13 @@ class PaperTablesSpec extends SparkSpec {
     val s = PaperTables.tableCommunity("X", (1, 0.1), Seq((1L, 0L, 75L, 25L, 25L)), summary)
     assert(s.contains("75%"))
   }
+
+  test("the self-containment headline renders the paper's constant") {
+    val summary = CommunityAnalysis.Summary(
+      Seq(CommunityAnalysis.CommunityRow(1, 1, 0, 1, 75, 25, 25)), 0.1)
+    val header = PaperTables.tableCommunity("X", (1, 0.1), Seq((1L, 0L, 75L, 25L, 25L)), summary)
+      .linesIterator.next()
+    assert(PaperTables.PaperSelfContainment === 0.74)
+    assert(header === "X — communities: paper 1 @ Q=0.1, ours 1 @ Q=0.10 (self-contained: paper ~74%, ours 75%)")
+  }
 }
