@@ -35,6 +35,19 @@ class PipelineSpec extends SparkSpec {
       "95ceb31edd59ddbdc2696bb0bc7cb1c6504e2b8076f7582ad3df5c1e789da671")
   }
 
+  // one line per Louvain input edge, the weight by its raw bits, so a
+  // moved summation order moves the digest even where the tables hold
+  test("the G_Basic, G_Day and G_Hour edge weights at the fixture's scale equal the pinned digest") {
+    val md = MessageDigest.getInstance("SHA-256")
+    for (g <- Seq(TemporalGraphs.TNull, TemporalGraphs.TDay, TemporalGraphs.THour)) {
+      md.update((g.name + "\n").getBytes(UTF_8))
+      for ((a, b, w) <- TemporalGraphs.weights(res.selected.tripTable, g))
+        md.update(s"$a $b ${java.lang.Double.doubleToRawLongBits(w)}\n".getBytes(UTF_8))
+    }
+    assert(md.digest().map("%02x".format(_)).mkString ===
+      "95734c67369712598e3f6ba2a21e7ce7c477f21b256fd5af9fa813dcafc7f4a9")
+  }
+
   test("pipeline preserves trip counts end to end") {
     assert(res.report.cleanRentals === res.candidate.stats.nTrips)
     assert(res.selected.stats.totalTrips === res.report.cleanRentals)
