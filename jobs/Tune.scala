@@ -16,9 +16,9 @@ object Tune {
       println(s"TableII: nodes=${s2.nNodes} undirected=${s2.undirectedEdges} " +
         s"directed=${s2.directedEdges} trips=${s2.nTrips}")
       val sel = res.selection
-      val passedDegree = sel.candidates.count(_.degree >= sel.degreeThreshold)
-      println(s"selection: threshold=${sel.degreeThreshold} candidates=${sel.candidates.size} " +
-        s"passDegree=$passedDegree selected=${sel.selected.size}")
+      println(s"selection: threshold=${sel.degreeThreshold} (station ${sel.thresholdStation}) " +
+        s"candidates=${sel.candidates.size} passDegree=${sel.degreePass} passDistance=${sel.distancePass} " +
+        s"pruned=${sel.pruned} selected=${sel.selected.size}")
       val s3 = res.selected.stats
       println(s"TableIII: total=${s3.totalStations} preFrom=${s3.preExisting.tripsFrom} " +
         s"selFrom=${s3.selected.tripsFrom} edges=${s3.totalEdges}")

@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.Arrays
+
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.cluster.{HAC, SpatialGrid}
 import repro.data.Cleaning.CleanData
@@ -27,36 +29,39 @@ object CandidateGraph {
   /** A row of the node table. */
   final case class Node(id: Long, lat: Double, lon: Double, isStation: Boolean)
 
-  /** @param nodes     the fixed stations, in id order, then the candidates
-    * @param nodeOf    location_id → node_id of every cleaned location
-    * @param tripTable the cleaned trips from src_node to dst_node: Table II,
-    *                  the degrees of Algorithm 1 and the selected graph read
-    *                  it in plain Scala. Day and hour are the cleaned
-    *                  trips', taken in the configured zone (default UTC).
-    * @param rentals   the cleaned rentals, which [[trips]] relabels, built
-    *                  on its first call
+  /** @param nodes       the fixed stations, in id order, then the candidates
+    * @param locationIds the cleaned location ids, ascending
+    * @param nodeOf      the node position (in `nodes`) of each cleaned
+    *                    location, by its position in `locationIds`
+    * @param tripTable   the cleaned trips between the nodes, over their ids:
+    *                    Table II, the degrees of Algorithm 1 and the
+    *                    selected graph read it in plain Scala. Day and hour
+    *                    are the cleaned trips', taken in the configured zone
+    *                    (default UTC).
+    * @param rentals     the cleaned rentals, which [[trips]] relabels, built
+    *                    on its first call
     */
-  final case class Result(nodes: Seq[Node], nodeOf: Map[Long, Long],
+  final case class Result(nodes: Seq[Node], locationIds: Array[Long], nodeOf: Array[Int],
                           tripTable: TemporalGraphs.TripTable, rentals: () => DataFrame) {
-
-    /** (src_node, dst_node) → trips. */
-    lazy val edgeTrips: Map[(Long, Long), Long] = TemporalGraphs.pairCounts(tripTable)
+    require(tripTable.ids.sameElements(nodes.map(_.id)), "the trip table's ids must be the node ids, in order")
 
     /** rental_id, src_node, dst_node, start_ts: a lazy view. */
-    lazy val trips: DataFrame = TemporalGraphs.trips(rentals(), nodeOf)
+    lazy val trips: DataFrame = TemporalGraphs.trips(rentals(), locationIds, nodeOf.map(tripTable.ids))
 
-    /** Table II, counted in plain Scala. */
+    /** Table II: the directed pairs' and the T_Null slices' packed keys. */
     def stats: Stats = {
-      val undirected = edgeTrips.keys.map { case (s, d) => (math.min(s, d), math.max(s, d)) }.toSet
+      val n = tripTable.ids.length.toLong
+      val directed = TemporalGraphs.pairCounts(tripTable)._1
+      val undirected = TemporalGraphs.sliceCounts(tripTable, TemporalGraphs.TNull)._1
       val nStation = nodes.count(_.isStation).toLong
       Stats(
         nNodes = nodes.size.toLong, nStationNodes = nStation,
         nCandidateNodes = nodes.size - nStation,
-        undirectedEdges = undirected.size.toLong,
-        undirectedEdgesNoLoops = undirected.count { case (a, b) => a != b }.toLong,
-        directedEdges = edgeTrips.size.toLong,
-        directedEdgesNoLoops = edgeTrips.keys.count { case (s, d) => s != d }.toLong,
-        nTrips = edgeTrips.values.sum)
+        undirectedEdges = undirected.length.toLong,
+        undirectedEdgesNoLoops = undirected.count(k => k / n != k % n).toLong,
+        directedEdges = directed.length.toLong,
+        directedEdgesNoLoops = directed.count(k => k / n != k % n).toLong,
+        nTrips = tripTable.size.toLong)
     }
   }
 
@@ -75,9 +80,9 @@ object CandidateGraph {
 
   /** Build the candidate graph from cleaned data, on the driver: the
     * geometry runs over the cleaned station and location points, in id
-    * order, and `tripTable` is the cleaned trips relabelled location →
-    * node. Every station id must be below every candidate node id, so the
-    * nodes are in ascending id order. Starts no Spark job.
+    * order, and `tripTable` is the cleaned trips relabelled from location
+    * to node positions. Every station id must be below every candidate node
+    * id, so the nodes are in ascending id order. Starts no Spark job.
     */
   def build(@scala.annotation.unused("perfbench/Harness.scala passes it") spark: SparkSession,
             data: CleanData, preAssignM: Double = 50.0, hacCutM: Double = 100.0,
@@ -87,19 +92,21 @@ object CandidateGraph {
     val near = Array.tabulate(locs.size)(k => Haversine.nearest(locs.lats(k), locs.lons(k), stations))
 
     // locations within preAssignM join their station; the rest are clustered
-    val pre = locs.ids.indices.filter(k => near(k)._1 <= preAssignM)
-    val rest = locs.subset(k => !(near(k)._1 <= preAssignM))
+    val pre = near.map(_._1 <= preAssignM)
+    val rest = locs.subset(!pre(_))
     val (clusterOf, clusters) = HAC.local(rest, hacCutM, centroidSepM)
     for (c <- clusters.headOption)
       require(stations.ids.last < c.id + CandidateOffset,
         s"station id ${stations.ids.last} is not below candidate node id ${c.id + CandidateOffset} " +
           s"(location ${c.id} + $CandidateOffset)")
-    val nodeOf = (pre.map(k => locs.ids(k) -> near(k)._2) ++
-      rest.ids.zip(clusterOf.map(_ + CandidateOffset))).toMap
     val nodes =
       stations.ids.indices.map(k => Node(stations.ids(k), stations.lats(k), stations.lons(k), isStation = true)) ++
       clusters.map(c => Node(c.id + CandidateOffset, c.lat, c.lon, isStation = false))
+    // `rest` holds the clustered locations in location order, as tabulate visits them
+    val (nodeIds, clustered) = (nodes.map(_.id).toArray, clusterOf.iterator)
+    val nodeOf = Array.tabulate(locs.size)(k =>
+      Arrays.binarySearch(nodeIds, if (pre(k)) near(k)._2 else clustered.next() + CandidateOffset))
 
-    Result(nodes, nodeOf, data.tripTable.relabel(nodeOf), () => data.rentals)
+    Result(nodes, locs.ids, nodeOf, data.tripTable.relabel(nodeOf, nodeIds), () => data.rentals)
   }
 }

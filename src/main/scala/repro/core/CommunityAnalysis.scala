@@ -1,6 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
 import org.apache.spark.sql.SparkSession
 
 /** Community summary tables (paper Tables IV, V, VI): per community the
@@ -24,10 +23,10 @@ object CommunityAnalysis {
     }
   }
 
-  /** Build the summary from a node->community assignment, in plain Scala
-    * from the selected graph's collected node flags and edge trip counts.
-    * Every node of `selected` must have a community: a missing one would
-    * silently drop its trips.
+  /** Build the summary from a node->community assignment, in plain Scala:
+    * one pass over the selected graph's nodes and one over its trips, with
+    * the communities numbered densely. Every node of `selected` must have a
+    * community: a missing one would silently drop its trips.
     *
     * Community ids are renumbered 1..K by descending total station count
     * then ascending min node id, mirroring the paper's table layout.
@@ -35,25 +34,25 @@ object CommunityAnalysis {
   def summarize(@scala.annotation.unused("perfbench/Harness.scala passes it") spark: SparkSession,
                 selected: SelectedGraph.Result, community: Map[Long, Long],
                 modularity: Double): Summary = {
-    val tripNodes = selected.edgeTrips.keysIterator.flatMap { case (s, d) => Iterator(s, d) }
-    for (n <- selected.isNew.keysIterator ++ tripNodes)
-      require(community.contains(n), s"node $n of the selected graph has no community")
+    val t = selected.tripTable
+    for (n <- t.ids) require(community.contains(n), s"node $n of the selected graph has no community")
 
-    val stations = selected.isNew.toSeq.groupBy { case (n, _) => community(n) }
-    val within, out, in = mutable.HashMap.empty[Long, Long].withDefaultValue(0L)
-    for (((s, d), n) <- selected.edgeTrips) {
-      val (cs, cd) = (community(s), community(d))
-      if (cs == cd) within(cs) += n else { out(cs) += n; in(cd) += n }
+    // c(k): the community of node position k, as a position in `labels`
+    val labels = t.ids.map(community).distinct.sorted
+    val c = t.ids.map(n => java.util.Arrays.binarySearch(labels, community(n)))
+    val (old, nNew) = (new Array[Long](labels.length), new Array[Long](labels.length))
+    for ((node, k) <- selected.finals.zipWithIndex)
+      if (node.isStation) old(c(k)) += 1 else nNew(c(k)) += 1
+    val within, out, in = new Array[Long](labels.length)
+    for (i <- 0 until t.size) {
+      val (cs, cd) = (c(t.from(i)), c(t.to(i)))
+      if (cs == cd) within(cs) += 1 else { out(cs) += 1; in(cd) += 1 }
     }
 
-    val rows = stations.toSeq
-      .map { case (c, members) =>
-        val nNew = members.count(_._2).toLong
-        (c, members.size - nNew, nNew, members.size.toLong)
-      }
-      .sortBy { case (c, _, _, total) => (-total, c) }
-      .zipWithIndex.map { case ((c, old, nNew, total), i) =>
-        CommunityRow(i + 1L, old, nNew, total, within(c), out(c), in(c))
+    val rows = labels.indices
+      .sortBy(k => (-(old(k) + nNew(k)), labels(k)))
+      .zipWithIndex.map { case (k, i) =>
+        CommunityRow(i + 1L, old(k), nNew(k), old(k) + nNew(k), within(k), out(k), in(k))
       }
     Summary(rows, modularity)
   }

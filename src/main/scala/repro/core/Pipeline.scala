@@ -56,7 +56,7 @@ object Pipeline {
                   g: TemporalGraphs.Granularity): CommunityResult = {
     val louvain = Louvain.run(TemporalGraphs.weights(selected.tripTable, g))
     // stations without edges become singleton communities
-    val full = selected.isNew.keys.map(n => n -> louvain.community.getOrElse(n, n)).toMap
+    val full = selected.tripTable.ids.map(n => n -> louvain.community.getOrElse(n, n)).toMap
     CommunityResult(g, CommunityAnalysis.summarize(spark, selected, full, louvain.modularity))
   }
 }

@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.Arrays
+
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.geo.{Haversine, PointTable}
 
@@ -16,22 +18,21 @@ object SelectedGraph {
   final case class Stats(preExisting: GroupStats, selected: GroupStats,
                          totalStations: Long, totalTrips: Long, totalEdges: Long)
 
-  /** @param finals    the pre-existing stations (`isStation`) and the selected candidates
-    * @param nodeOf    location_id → final node_id: the candidate `nodeOf`, then the redirection
-    * @param tripTable the redirected trips from src_node to dst_node; every
-    *                  post-selection table and all three temporal graphs
-    *                  are plain Scala projections of it
-    * @param rentals   the cleaned rentals, which [[trips]] relabels, built
-    *                  on its first call
+  /** @param finals      the pre-existing stations (`isStation`) and the
+    *                    selected candidates, in id order
+    * @param locationIds the cleaned location ids, ascending
+    * @param nodeOf      the final node position (in `finals`) of each cleaned
+    *                    location, by its position in `locationIds`: the
+    *                    candidate `nodeOf`, then the redirection
+    * @param tripTable   the redirected trips between the final nodes, over
+    *                    their ids; every post-selection table and all three
+    *                    temporal graphs are plain Scala projections of it
+    * @param rentals     the cleaned rentals, which [[trips]] relabels, built
+    *                    on its first call
     */
-  final case class Result(finals: Seq[CandidateGraph.Node], nodeOf: Map[Long, Long],
+  final case class Result(finals: Seq[CandidateGraph.Node], locationIds: Array[Long], nodeOf: Array[Int],
                           tripTable: TemporalGraphs.TripTable, rentals: () => DataFrame) {
-
-    /** (src_node, dst_node) → trips. */
-    lazy val edgeTrips: Map[(Long, Long), Long] = TemporalGraphs.pairCounts(tripTable)
-
-    /** node_id → is_new (selected by Algorithm 1 rather than pre-existing). */
-    lazy val isNew: Map[Long, Boolean] = finals.map(n => n.id -> !n.isStation).toMap
+    require(tripTable.ids.sameElements(finals.map(_.id)), "the trip table's ids must be the final node ids, in order")
 
     /** node_id, lat, lon, is_station, is_new: `finals` as a local relation. */
     lazy val nodes: DataFrame = rentals().sparkSession
@@ -39,38 +40,43 @@ object SelectedGraph {
       .toDF("node_id", "lat", "lon", "is_station", "is_new")
 
     /** rental_id, src_node, dst_node, start_ts (redirected): a lazy view. */
-    lazy val trips: DataFrame = TemporalGraphs.trips(rentals(), nodeOf)
+    lazy val trips: DataFrame = TemporalGraphs.trips(rentals(), locationIds, nodeOf.map(tripTable.ids))
 
+    /** Table III: passes over the trips, and the directed pairs' packed keys. */
     def stats: Stats = {
-      def grp(newFlag: Boolean): GroupStats = {
-        val from = edgeTrips.filter { case ((s, _), _) => isNew(s) == newFlag }
-        val to = edgeTrips.filter { case ((_, d), _) => isNew(d) == newFlag }
-        GroupStats(stations = isNew.count(_._2 == newFlag).toLong,
-                   tripsFrom = from.values.sum, tripsTo = to.values.sum,
-                   edgesFrom = from.size.toLong, edgesTo = to.size.toLong)
-      }
-      Stats(grp(newFlag = false), grp(newFlag = true), totalStations = isNew.size.toLong,
-            totalTrips = edgeTrips.values.sum, totalEdges = edgeTrips.size.toLong)
+      val (t, n) = (tripTable, tripTable.ids.length.toLong)
+      val isNew = finals.map(!_.isStation).toArray
+      val pairs = TemporalGraphs.pairCounts(t)._1
+      def grp(newFlag: Boolean): GroupStats =
+        GroupStats(stations = isNew.count(_ == newFlag).toLong,
+                   tripsFrom = t.from.count(isNew(_) == newFlag).toLong,
+                   tripsTo = t.to.count(isNew(_) == newFlag).toLong,
+                   edgesFrom = pairs.count(k => isNew((k / n).toInt) == newFlag).toLong,
+                   edgesTo = pairs.count(k => isNew((k % n).toInt) == newFlag).toLong)
+      Stats(grp(newFlag = false), grp(newFlag = true), totalStations = finals.size.toLong,
+            totalTrips = t.size.toLong, totalEdges = pairs.length.toLong)
     }
   }
 
   /** Redirect trips at rejected candidates to the nearest final station.
     * Redirection relabels nodes, so `tripTable` is the candidate graph's
-    * table relabelled on the driver.
+    * table relabelled on the driver, by one final position per candidate
+    * node.
     */
   def build(@scala.annotation.unused("perfbench/Harness.scala passes it") spark: SparkSession,
             candidate: CandidateGraph.Result, selection: StationSelection.Result): Result = {
     val selectedIds = selection.selected.map(_.nodeId).toSet
-    val finals = candidate.nodes.filter(n => n.isStation || selectedIds(n.id))
+    val kept = (n: CandidateGraph.Node) => n.isStation || selectedIds(n.id)
+    val finals = candidate.nodes.filter(kept)
 
-    // nearest final station for every rejected candidate node (driver-side:
-    // ~1k rejected × ~240 stations)
+    // a kept node stays itself; a rejected one moves to the nearest final
+    // station (driver-side: ~1k rejected × ~240 stations)
     val finalPoints = PointTable(finals.map(_.id).toArray, finals.map(_.lat).toArray, finals.map(_.lon).toArray)
-    val remap: Map[Long, Long] = selection.candidates.filterNot(_.selected)
-      .map(r => r.nodeId -> Haversine.nearest(r.lat, r.lon, finalPoints)._2).toMap
-    val node = (n: Long) => remap.getOrElse(n, n)
+    val remap = candidate.nodes.map { n =>
+      Arrays.binarySearch(finalPoints.ids, if (kept(n)) n.id else Haversine.nearest(n.lat, n.lon, finalPoints)._2)
+    }.toArray
 
-    Result(finals, candidate.nodeOf.map { case (l, n) => l -> node(n) },
-           candidate.tripTable.relabel(node), candidate.rentals)
+    Result(finals, candidate.locationIds, candidate.nodeOf.map(remap),
+           candidate.tripTable.relabel(remap, finalPoints.ids), candidate.rentals)
   }
 }

@@ -24,39 +24,47 @@ object StationSelection {
   final case class Candidate(nodeId: Long, lat: Double, lon: Double,
                              degree: Long, score: Long, selected: Boolean)
 
-  final case class Result(candidates: Seq[Candidate], degreeThreshold: Long) {
+  /** @param candidates       every candidate, by score descending, then id
+    * @param degreeThreshold  the least fixed-station degree (Rule 3)
+    * @param thresholdStation the station with that degree, the least id on a tie
+    * @param degreePass       the candidates that pass Rule 3
+    * @param distancePass     of those, the ones that have trips and lie more
+    *                         than `minDistM` from every fixed station (Rule 4)
+    * @param pruned           of those, the ones pairwise pruning zeroes; the
+    *                         rest are selected
+    */
+  final case class Result(candidates: Seq[Candidate], degreeThreshold: Long, thresholdStation: Long,
+                          degreePass: Int, distancePass: Int, pruned: Int) {
     def selected: Seq[Candidate] = candidates.filter(_.selected)
   }
 
-  /** Per-node degree: trips from + trips to. Nodes without trips are absent. */
-  def degrees(edgeTrips: Map[(Long, Long), Long]): Map[Long, Long] =
-    edgeTrips.toSeq
-      .flatMap { case ((s, d), n) => Seq(s -> n, d -> n) }
-      .groupMapReduce(_._1)(_._2)(_ + _)
+  /** Per-node degree, trips from + trips to, by node position in `t.ids`. */
+  def degrees(t: TemporalGraphs.TripTable): Array[Long] = {
+    val deg = new Array[Long](t.ids.length)
+    for (ends <- Seq(t.from, t.to); k <- ends) deg(k) += 1
+    deg
+  }
 
   def select(@scala.annotation.unused("perfbench/Harness.scala passes it") spark: SparkSession,
              candidate: CandidateGraph.Result, minDistM: Double = 250.0): Result = {
-    val deg = degrees(candidate.edgeTrips).withDefaultValue(0L)
-    val stations = candidate.nodes.filter(_.isStation)
+    // positions ascend with ids, so the candidates come in id order
+    val (stations, others) = candidate.nodes.zip(degrees(candidate.tripTable)).partition(_._1.isStation)
     require(stations.nonEmpty, "no fixed stations")
-    val threshold = stations.map(s => deg(s.id)).min
-    val stationPoints =
-      PointTable(stations.map(_.id).toArray, stations.map(_.lat).toArray, stations.map(_.lon).toArray)
+    val (setter, threshold) = stations.minBy(_._2)
+    val stationPoints = PointTable(stations.map(_._1.id).toArray, stations.map(_._1.lat).toArray,
+                                   stations.map(_._1.lon).toArray)
 
     final case class C(id: Long, lat: Double, lon: Double, deg: Long, var score: Long)
-    val cands = candidate.nodes.filterNot(_.isStation).sortBy(_.id)
-      .map(n => C(n.id, n.lat, n.lon, deg(n.id), deg(n.id)))
+    val cands = others.map { case (n, d) => C(n.id, n.lat, n.lon, d, 0L) }
 
-    // Rules 3 and 4
-    for (c <- cands) {
-      if (c.deg < threshold) c.score = 0
-      else if (Haversine.nearest(c.lat, c.lon, stationPoints)._1 <= minDistM) c.score = 0
-    }
+    // Rules 3 and 4; a candidate without trips has nothing to rank
+    val degreePass = cands.filter(_.deg >= threshold)
+    val alive = degreePass.filter(c => c.deg > 0 && !(Haversine.nearest(c.lat, c.lon, stationPoints)._1 <= minDistM))
+    for (c <- alive) c.score = c.deg
 
     // pairwise pruning in one id-ordered pass: scores only fall to 0, so
     // once a pair is checked one of the two is zero or they are far apart,
     // and a second pass would change nothing
-    val alive = cands.filter(_.score > 0)
     for (i <- alive.indices; j <- i + 1 until alive.length) {
       val a = alive(i); val b = alive(j)
       if (a.score > 0 && b.score > 0 &&
@@ -69,6 +77,6 @@ object StationSelection {
 
     val out = cands.sortBy(c => (-c.score, c.id))
       .map(c => Candidate(c.id, c.lat, c.lon, c.deg, c.score, c.score > 0))
-    Result(out, threshold)
+    Result(out, threshold, setter.id, degreePass.size, alive.size, alive.count(_.score == 0))
   }
 }

@@ -1,6 +1,7 @@
 package repro.core
 
 import java.time.{Instant, ZoneId}
+import scala.collection.mutable
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
@@ -33,10 +34,11 @@ import org.apache.spark.sql.functions._
   */
 object TemporalGraphs {
 
-  sealed trait Granularity { def name: String; def slices: Int }
-  case object TNull extends Granularity { val name = "T_Null"; val slices = 1 }
-  case object TDay extends Granularity { val name = "T_Day"; val slices = 7 }
-  case object THour extends Granularity { val name = "T_Hour"; val slices = 24 }
+  /** [[slice]]: the slice of a trip that starts at `dayHour` (day · 24 + hour, Mon = 0). */
+  sealed trait Granularity { def name: String; def slices: Int; def slice(dayHour: Int): Int }
+  case object TNull extends Granularity { val name = "T_Null"; val slices = 1; def slice(dayHour: Int) = 0 }
+  case object TDay extends Granularity { val name = "T_Day"; val slices = 7; def slice(dayHour: Int) = dayHour / 24 }
+  case object THour extends Granularity { val name = "T_Hour"; val slices = 24; def slice(dayHour: Int) = dayHour % 24 }
 
   /** Slice index of a trip's start timestamp under a granularity. */
   def sliceCol(g: Granularity, startTs: Column): Column = g match {
@@ -54,63 +56,99 @@ object TemporalGraphs {
     (t.getDayOfWeek.getValue - 1, t.getHour)
   }
 
-  /** The trips as parallel columns: trip i runs from `from(i)` to `to(i)`
-    * (location or node ids) and starts on day `dayHour(i) / 24` (Mon = 0)
-    * at hour `dayHour(i) % 24`. `Cleaning.clean` returns the cleaned
-    * rentals' table, with day and hour from [[dayHour]]; the candidate and
-    * the selected graph each [[relabel]] it, and every table and edge
-    * weight after the cleaning job is a projection of one of them.
+  /** The trips as parallel columns over one node numbering: trip i runs
+    * from node `ids(from(i))` to node `ids(to(i))` and starts on day
+    * `dayHour(i) / 24` (Mon = 0) at hour `dayHour(i) % 24`. The ids are
+    * strictly ascending, so position order is id order. `Cleaning.clean`
+    * returns the cleaned rentals' table over the location ids, with day and
+    * hour from [[dayHour]]; the candidate and the selected graph each
+    * [[relabel]] it onto their node ids, and every table and edge weight
+    * after the cleaning job is a projection of one of them.
     */
-  final case class TripTable(from: Array[Long], to: Array[Long], dayHour: Array[Int]) {
+  final case class TripTable(ids: Array[Long], from: Array[Int], to: Array[Int], dayHour: Array[Int]) {
+    require(to.length == from.length && dayHour.length == from.length,
+            s"trip columns of unequal length: from ${from.length}, to ${to.length}, dayHour ${dayHour.length}")
+    require(ids.indices.drop(1).forall(k => ids(k - 1) < ids(k)), "trip node ids must be strictly ascending")
+    for (i <- from.indices)
+      require(from(i) >= 0 && from(i) < ids.length && to(i) >= 0 && to(i) < ids.length,
+              s"trip $i runs from position ${from(i)} to ${to(i)}, outside the ${ids.length} node ids")
     def size: Int = from.length
 
-    /** This table with both endpoint columns mapped by `f`. */
-    def relabel(f: Long => Long): TripTable = TripTable(from.map(f), to.map(f), dayHour)
+    /** This table over `newIds`: an endpoint at position p moves to `map(p)`. */
+    def relabel(map: Array[Int], newIds: Array[Long]): TripTable =
+      TripTable(newIds, from.map(map), to.map(map), dayHour)
   }
 
-  /** The [[TripTable]] of `trips` (src_node, dst_node, start_ts), day and
-    * hour their [[sliceCol]]s, computed in Spark under the session time
-    * zone. The pipeline's tables come from `Cleaning.clean`'s; this one
-    * serves [[edges]] and the tests.
+  /** The [[TripTable]] of `trips` (src_node, dst_node, start_ts) over the
+    * node ids they reference, day and hour their [[sliceCol]]s, computed
+    * in Spark under the session time zone. The pipeline's tables come from
+    * `Cleaning.clean`'s; this one serves [[edges]] and the tests.
     */
   def table(trips: DataFrame): TripTable = {
     val start = col("start_ts")
     val rows = trips.select(col("src_node"), col("dst_node"),
                             sliceCol(TDay, start) * 24 + sliceCol(THour, start)).collect()
-    TripTable(rows.map(_.getLong(0)), rows.map(_.getLong(1)), rows.map(_.getInt(2)))
+    val (src, dst) = (rows.map(_.getLong(0)), rows.map(_.getLong(1)))
+    val ids = (src ++ dst).distinct.sorted
+    val at = (id: Long) => java.util.Arrays.binarySearch(ids, id)
+    TripTable(ids, src.map(at), dst.map(at), rows.map(_.getInt(2)))
   }
 
   /** rental_id, src_node, dst_node, start_ts: a lazy view of `rentals`
-    * with both location ids looked up in `nodeOf` by a Scala UDF, a hash
-    * lookup per row. A missing location reads null, because the optimizer
-    * may push a caller's filter below the view's, onto rows it drops.
+    * with both location ids mapped to node ids by a Scala UDF: location
+    * `locationIds(k)` is node `nodeIds(k)`, found by a binary search of the
+    * ascending `locationIds`. A missing location reads null, because the
+    * optimizer may push a caller's filter below the view's, onto rows it
+    * drops.
     */
-  def trips(rentals: DataFrame, nodeOf: Map[Long, Long]): DataFrame = {
-    val node = udf((location: Long) => nodeOf.get(location))
+  def trips(rentals: DataFrame, locationIds: Array[Long], nodeIds: Array[Long]): DataFrame = {
+    val node = udf { (location: Long) =>
+      val k = java.util.Arrays.binarySearch(locationIds, location)
+      if (k >= 0) Some(nodeIds(k)) else None
+    }
     rentals.select(col("rental_id"), node(col("rental_location_id")) as "src_node",
                    node(col("return_location_id")) as "dst_node", col("start_ts"))
   }
 
-  /** Trips per directed node pair: (src, dst) → n. */
-  def pairCounts(t: TripTable): Map[(Long, Long), Long] =
-    t.from.indices.groupMapReduce(i => (t.from(i), t.to(i)))(_ => 1L)(_ + _)
-
-  /** Trips per unordered node pair and slice: (src <= dst, slice) → n. */
-  def sliceCounts(t: TripTable, g: Granularity): Map[(Long, Long, Int), Long] =
-    t.from.indices.groupMapReduce { i =>
-      val (s, d, dh) = (t.from(i), t.to(i), t.dayHour(i))
-      val slice = g match { case TNull => 0; case TDay => dh / 24; case THour => dh % 24 }
-      (math.min(s, d), math.max(s, d), slice)
-    }(_ => 1L)(_ + _)
-
-  /** Node activity profiles: (node_id, slice) → trip-endpoint count.
-    * A trip contributes both its endpoints, so any (i,j,s) trip implies
-    * p_i(s) >= 1 and p_j(s) >= 1.
+  /** The distinct `keys`, ascending, and how often each occurs: one sort
+    * of `keys` in place, then one pass over its runs.
     */
-  def profiles(counts: Map[(Long, Long, Int), Long]): Map[(Long, Int), Long] =
-    counts.toSeq
-      .flatMap { case ((a, b, s), n) => Seq((a, s) -> n, (b, s) -> n) }
-      .groupMapReduce(_._1)(_._2)(_ + _)
+  private def runs(keys: Array[Long]): (Array[Long], Array[Long]) = {
+    java.util.Arrays.sort(keys)
+    val starts = keys.indices.filter(i => i == 0 || keys(i) != keys(i - 1)).toArray
+    (starts.map(keys), starts.zip(starts.drop(1) :+ keys.length).map { case (a, b) => (b - a).toLong })
+  }
+
+  /** Trips per directed node pair: the pairs that have trips as ascending
+    * keys `from · N + to` (N = `t.ids.length`, positions), and each one's
+    * trip count.
+    */
+  def pairCounts(t: TripTable): (Array[Long], Array[Long]) = {
+    val n = t.ids.length.toLong
+    runs(Array.tabulate(t.size)(i => t.from(i) * n + t.to(i)))
+  }
+
+  /** Trips per unordered node pair and slice: the triples that have trips
+    * as ascending keys `(min · N + max) · |S| + slice` (positions, N =
+    * `t.ids.length`, |S| = `g.slices`), and each one's trip count.
+    */
+  def sliceCounts(t: TripTable, g: Granularity): (Array[Long], Array[Long]) = {
+    val n = t.ids.length.toLong
+    runs(Array.tabulate(t.size) { i =>
+      val (a, b) = (t.from(i), t.to(i))
+      (math.min(a, b) * n + math.max(a, b)) * g.slices + g.slice(t.dayHour(i))
+    })
+  }
+
+  /** Node activity profiles: trip endpoints at node position k in slice s,
+    * at index `k · |S| + s`. A trip contributes both its endpoints, so any
+    * (i,j,s) trip implies p_i(s) >= 1 and p_j(s) >= 1.
+    */
+  def profiles(t: TripTable, g: Granularity): Array[Long] = {
+    val p = new Array[Long](t.ids.length * g.slices)
+    for (ends <- Seq(t.from, t.to); i <- ends.indices) p(ends(i) * g.slices + g.slice(t.dayHour(i))) += 1
+    p
+  }
 
   /** Contrast exponent on the co-activity factor (r^γ). γ=1 keeps the
     * raw factor; higher γ amplifies the separation between in-rhythm and
@@ -128,18 +166,22 @@ object TemporalGraphs {
     * co-active by definition — both endpoints are the same node).
     */
   def weights(trips: TripTable, g: Granularity, gamma: Double = DefaultGamma): Seq[(Long, Long, Double)] = {
-    val slices = sliceCounts(trips, g)
-    val p = profiles(slices)
-    val total = p.groupMapReduce(_._1._1)(_._2)(_ + _)
-    def q(node: Long, s: Int): Double = p((node, s)).toDouble / total(node)
-    // summed in ascending slice order, so the weights do not depend on
-    // hash iteration order
-    slices.toSeq.sortBy(_._1)
-      .map { case ((a, b, s), n) =>
-        (a, b) -> n * math.pow(g.slices * (q(a, s) + q(b, s)) / 2, gamma) }
-      .groupMapReduce(_._1)(_._2)(_ + _)
-      .toSeq.sortBy(_._1)
-      .collect { case ((a, b), w) if w > 0 => (a, b, w) }
+    val (ids, slices) = (trips.ids, g.slices)
+    val (keys, counts) = sliceCounts(trips, g)
+    val p = profiles(trips, g)
+    val total = p.grouped(slices).map(_.sum).toArray
+    def q(node: Int, s: Int): Double = p(node * slices + s).toDouble / total(node)
+    // a pair's keys are one run, in ascending slice order, so its weight is
+    // summed in that order whatever order the trips came in
+    val edges = mutable.ArrayBuffer.empty[(Long, Long, Double)]
+    for (i <- keys.indices) {
+      val (pair, s) = (keys(i) / slices, (keys(i) % slices).toInt)
+      val (a, b) = ((pair / ids.length).toInt, (pair % ids.length).toInt)
+      val w = counts(i) * math.pow(g.slices * (q(a, s) + q(b, s)) / 2, gamma)
+      if (i > 0 && keys(i - 1) / slices == pair) edges(edges.length - 1) = edges.last.copy(_3 = edges.last._3 + w)
+      else edges += ((ids(a), ids(b), w))
+    }
+    edges.filter(_._3 > 0).toSeq
   }
 
   /** [[weights]] of the trips' [[table]] as a DataFrame: src, dst, weight. */

@@ -30,11 +30,12 @@ import MobySchema._
   *
   * The rentals are read by one Spark-core job without a shuffle and
   * without a query: each partition keeps its rentals that pass rules 4–5
-  * as a [[repro.core.TemporalGraphs.TripTable]] of (rental location,
-  * return location, day and hour), and the driver concatenates the
-  * partitions' tables ([[groups]]) and applies rule 6. The tasks get the
-  * valid ids as one broadcast, so a task does not grow with the number of
-  * locations.
+  * as primitive columns of (rental location, return location, day and
+  * hour), each location the position `survives`' binary search finds it
+  * at, and the driver concatenates the partitions' columns into one
+  * [[repro.core.TemporalGraphs.TripTable]] ([[groups]]) and applies rule 6.
+  * The tasks get the valid ids as one broadcast, so a task does not grow
+  * with the number of locations.
   */
 object Cleaning {
 
@@ -42,7 +43,8 @@ object Cleaning {
     * @param stationPoints  the valid stations
     * @param locationPoints the valid locations the surviving rentals reference
     * @param tripTable      the surviving rentals, one trip each, from the
-    *                       rental to the return location id; day and hour
+    *                       rental to the return location, over
+    *                       `locationPoints.ids`; day and hour
     *                       are [[repro.core.TemporalGraphs.dayHour]] in the
     *                       configured zone (default UTC), `raw.zone`
     * @param table1         the row counts before and after cleaning (Table I)
@@ -68,7 +70,7 @@ object Cleaning {
     }
 
     private def kept(rows: Seq[Row], points: PointTable, schema: StructType) =
-      raw.spark.createDataFrame(rows.filter(r => contains(points.ids, r.getLong(0))).asJava, schema)
+      raw.spark.createDataFrame(rows.filter(position(_, 0, points.ids) >= 0).asJava, schema)
   }
 
   final case class Report(origStations: Long, cleanStations: Long,
@@ -91,12 +93,15 @@ object Cleaning {
       .toArray, lat, lon)
   }
 
-  /** `id` is in the ascending `ids`. */
-  private def contains(ids: Array[Long], id: Long): Boolean = java.util.Arrays.binarySearch(ids, id) >= 0
+  /** The position of row `r`'s id in column `field` in the ascending
+    * `valid`, or a negative number when the id is null or not there.
+    */
+  private def position(r: Row, field: Int, valid: Array[Long]): Int =
+    if (r.isNullAt(field)) -1 else java.util.Arrays.binarySearch(valid, r.getLong(field))
 
   /** Rules 4–5: both location ids of rental row `r` are present and in the ascending `valid`. */
   private def survives(r: Row, valid: Array[Long]): Boolean =
-    !r.isNullAt(From) && !r.isNullAt(To) && contains(valid, r.getLong(From)) && contains(valid, r.getLong(To))
+    position(r, From, valid) >= 0 && position(r, To, valid) >= 0
 
   /** Apply all six rules. Rules 1–3 run on the generated rows; the one
     * Spark job is [[groups]] over the raw rentals, which applies rules 4–5
@@ -107,12 +112,14 @@ object Cleaning {
   def clean(data: MobyData): CleanData = {
     val stations = spatiallyValid(data.stationRows, StationSchema)
     val validLocs = spatiallyValid(data.locationRows, LocationSchema)
-    val (origRentals, trips) = groups(data.rentalRows, validLocs.ids, data.zone)
-    // rule 6: whether each valid location is referenced by a surviving rental
+    val (origRentals, surviving) = groups(data.rentalRows, validLocs.ids, data.zone)
+    // rule 6: whether each valid location is referenced by a surviving
+    // rental, and each referenced one's position among them, its rank
     val referenced = new Array[Boolean](validLocs.size)
-    for (ids <- Seq(trips.from, trips.to); id <- ids)
-      referenced(java.util.Arrays.binarySearch(validLocs.ids, id)) = true
+    for (ks <- Seq(surviving.from, surviving.to); k <- ks) referenced(k) = true
     val locations = validLocs.subset(referenced(_))
+    val rank = referenced.scanLeft(0)((r, kept) => if (kept) r + 1 else r)
+    val trips = surviving.relabel(rank, locations.ids)
 
     val table1 = Report(data.stationRows.size.toLong, stations.size.toLong, origRentals,
                         trips.size.toLong, data.locationRows.size.toLong, locations.size.toLong)
@@ -121,41 +128,44 @@ object Cleaning {
 
   /** Rules 4–5 in one Spark job without a shuffle: [[survivors]] with the
     * ascending `valid` ids broadcast. Returns (rentals read, the surviving
-    * rentals' table), the partitions' tables concatenated in partition
-    * order. A surviving rental without a start time fails the job, naming
-    * its id.
+    * rentals' table over `valid`), the partitions' columns concatenated in
+    * partition order. A surviving rental without a start time fails the
+    * job, naming its id.
     */
   private[data] def groups(rentals: RDD[Row], valid: Array[Long], zone: ZoneId): (Long, TripTable) = {
     val ids = rentals.sparkContext.broadcast(valid)
     val parts = try survivors(rentals, ids, zone).collect() finally ids.destroy()
     (parts.iterator.map(_._1).sum,
-     TripTable(parts.flatMap(_._2.from), parts.flatMap(_._2.to), parts.flatMap(_._2.dayHour)))
+     TripTable(valid, parts.flatMap(_._2), parts.flatMap(_._3), parts.flatMap(_._4)))
   }
 
   /** The cleaning job's one stage: each partition keeps its rentals that
-    * pass rules 4–5 against the ascending `valid` ids as a [[TripTable]]
-    * from rental_location_id to return_location_id, day and hour the
-    * [[repro.core.TemporalGraphs.dayHour]] of start_ts in `zone`, and
-    * returns (the rentals it read, that table). A task result is
+    * pass rules 4–5 against the ascending `valid` ids as the columns of a
+    * [[TripTable]] over `valid`: the positions of rental_location_id and
+    * return_location_id, and day and hour the
+    * [[repro.core.TemporalGraphs.dayHour]] of start_ts in `zone`. Returns
+    * (the rentals it read, from, to, dayHour). A task result is
     * Java-serialized, and primitive arrays go in bulk.
     */
   private[data] def survivors(rentals: RDD[Row], valid: Broadcast[Array[Long]],
-                              zone: ZoneId): RDD[(Long, TripTable)] =
+                              zone: ZoneId): RDD[(Long, Array[Int], Array[Int], Array[Int])] =
     rentals.mapPartitions { rows =>
       val ids = valid.value
-      val (from, to, dayHour) = (mutable.ArrayBuilder.make[Long], mutable.ArrayBuilder.make[Long],
+      val (from, to, dayHour) = (mutable.ArrayBuilder.make[Int], mutable.ArrayBuilder.make[Int],
                                  mutable.ArrayBuilder.make[Int])
       var read = 0L
       while (rows.hasNext) {
         val r = rows.next()
         read += 1
-        if (survives(r, ids)) {
+        val f = position(r, From, ids)
+        val t = if (f >= 0) position(r, To, ids) else -1
+        if (t >= 0) {
           require(!r.isNullAt(Start), s"rental ${r.get(RentalId)} passes rules 1-5 but has no start_ts")
           val (day, hour) = TemporalGraphs.dayHour(r.getTimestamp(Start).toInstant, zone)
-          from += r.getLong(From); to += r.getLong(To); dayHour += day * 24 + hour
+          from += f; to += t; dayHour += day * 24 + hour
         }
       }
-      Iterator.single((read, TripTable(from.result(), to.result(), dayHour.result())))
+      Iterator.single((read, from.result(), to.result(), dayHour.result()))
     }
 
   /** Original-vs-cleaned counts (the content of Table I), as `clean`

@@ -445,7 +445,7 @@ object MobySynth {
     }
 
     val regionCounts: Map[String, Long] =
-      locAnchor.toSeq.groupMapReduce(anchorSeq(_).region)(_ => 1L)(_ + _)
+      locAnchor.groupBy(anchorSeq(_).region).map { case (region, at) => region -> at.length.toLong }
 
     val badLocations = {
       def jit(k: Long, s: Int): Double = (((k * 2654435761L + s * 40503L + seed) % 1000) - 500) / 1e6

@@ -2,8 +2,9 @@ package repro
 
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
+import repro.core.TemporalGraphs.{DefaultGamma, Granularity, TripTable}
 
-/** DuckDB correctness oracle.
+/** Correctness oracles: DuckDB, and the map-based trip-table projections.
   *
   * ``assertEquivalent(sparkDf, sql, tables)`` runs ``sql`` on DuckDB
   * (via JDBC, in-process) over ``tables`` and asserts the sorted rows
@@ -72,5 +73,51 @@ object Oracle {
         s"  first duck-only:  ${exp.diff(got).take(3)}"
       )
     } finally conn.close()
+  }
+
+  // ---- the trip-table projections over boxed maps keyed by node ids, as
+  // the program computed them before it counted by node position: the
+  // reference that the packed-key sorts and array passes are compared with
+
+  private def src(t: TripTable, i: Int): Long = t.ids(t.from(i))
+  private def dst(t: TripTable, i: Int): Long = t.ids(t.to(i))
+
+  /** Trips per directed node pair: (src, dst) → n. */
+  def pairCounts(t: TripTable): Map[(Long, Long), Long] =
+    t.from.indices.groupMapReduce(i => (src(t, i), dst(t, i)))(_ => 1L)(_ + _)
+
+  /** Per-node degree: trips from + trips to. Nodes without trips are absent. */
+  def degrees(t: TripTable): Map[Long, Long] =
+    pairCounts(t).toSeq
+      .flatMap { case ((s, d), n) => Seq(s -> n, d -> n) }
+      .groupMapReduce(_._1)(_._2)(_ + _)
+
+  /** Trips per unordered node pair and slice: (src <= dst, slice) → n. */
+  def sliceCounts(t: TripTable, g: Granularity): Map[(Long, Long, Int), Long] =
+    t.from.indices.groupMapReduce { i =>
+      val (s, d) = (src(t, i), dst(t, i))
+      (math.min(s, d), math.max(s, d), g.slice(t.dayHour(i)))
+    }(_ => 1L)(_ + _)
+
+  /** Node activity profiles: (node_id, slice) → trip-endpoint count. */
+  def profiles(counts: Map[(Long, Long, Int), Long]): Map[(Long, Int), Long] =
+    counts.toSeq
+      .flatMap { case ((a, b, s), n) => Seq((a, s) -> n, (b, s) -> n) }
+      .groupMapReduce(_._1)(_._2)(_ + _)
+
+  /** Undirected weighted edge list (src <= dst, weight), sorted by (src, dst). */
+  def weights(trips: TripTable, g: Granularity, gamma: Double = DefaultGamma): Seq[(Long, Long, Double)] = {
+    val slices = sliceCounts(trips, g)
+    val p = profiles(slices)
+    val total = p.groupMapReduce(_._1._1)(_._2)(_ + _)
+    def q(node: Long, s: Int): Double = p((node, s)).toDouble / total(node)
+    // summed in ascending slice order, so the weights do not depend on
+    // hash iteration order
+    slices.toSeq.sortBy(_._1)
+      .map { case ((a, b, s), n) =>
+        (a, b) -> n * math.pow(g.slices * (q(a, s) + q(b, s)) / 2, gamma) }
+      .groupMapReduce(_._1)(_._2)(_ + _)
+      .toSeq.sortBy(_._1)
+      .collect { case ((a, b), w) if w > 0 => (a, b, w) }
   }
 }

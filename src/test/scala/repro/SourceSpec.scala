@@ -65,4 +65,15 @@ class SourceSpec extends AnyFunSuite {
     val hits = programHits(Seq("(Long, Double, Double)", "unzip3"))
     assert(hits.isEmpty, hits.mkString("\n"))
   }
+
+  // the nodes have one numbering from the cleaning job to Louvain's input:
+  // trips carry node positions, so a count per node is an array and a count
+  // per node pair one sort of packed keys. Louvain and the harness-facing
+  // Map[Long, Long] of CommunityAnalysis.summarize are outside this rule
+  test("repro.core and repro.data key no map by (Long, Long) and call no groupMapReduce") {
+    val scoped = Seq("src/main/scala/repro/core/", "src/main/scala/repro/data/")
+    val hits = programHits(Seq("groupMapReduce", "Map[(Long, Long)"))
+      .filter(h => scoped.exists(h.startsWith))
+    assert(hits.isEmpty, hits.mkString("\n"))
+  }
 }

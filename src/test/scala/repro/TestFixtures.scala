@@ -31,17 +31,23 @@ object TestFixtures {
   lazy val day = Pipeline.communities(spark, selected, TemporalGraphs.TDay)
   lazy val hourly = Pipeline.communities(spark, selected, TemporalGraphs.THour)
 
-  /** `t` as a multiset: (from, to, day, hour) → trips. A [[TripTable]]
-    * compares its arrays by reference, so tests compare tables through it.
+  /** `t` as a multiset: (from id, to id, day, hour) → trips. A
+    * [[TripTable]] compares its arrays by reference, so tests compare tables
+    * through it.
     */
   def tripCounts(t: TripTable): Map[(Long, Long, Int, Int), Long] =
-    t.from.indices
-      .groupMapReduce(i => (t.from(i), t.to(i), t.dayHour(i) / 24, t.dayHour(i) % 24))(_ => 1L)(_ + _)
+    t.from.indices.groupMapReduce { i =>
+      (t.ids(t.from(i)), t.ids(t.to(i)), t.dayHour(i) / 24, t.dayHour(i) % 24)
+    }(_ => 1L)(_ + _)
 
-  /** The [[TripTable]] of `counts`: n trips for each (from, to, day, hour) → n. */
-  def tripTable(counts: Map[(Long, Long, Int, Int), Long]): TripTable = {
+  /** The [[TripTable]] over the ascending `ids` of `counts`: n trips for
+    * each (from id, to id, day, hour) → n.
+    */
+  def tripTable(ids: Seq[Long], counts: Map[(Long, Long, Int, Int), Long]): TripTable = {
     val trips = counts.toSeq.flatMap { case (key, n) => Seq.fill(n.toInt)(key) }
-    TripTable(trips.map(_._1).toArray, trips.map(_._2).toArray, trips.map(t => t._3 * 24 + t._4).toArray)
+    val at = (id: Long) => ids.indexOf(id)
+    TripTable(ids.toArray, trips.map(t => at(t._1)).toArray, trips.map(t => at(t._2)).toArray,
+              trips.map(t => t._3 * 24 + t._4).toArray)
   }
 
   /** A `MobyData` over the rows of DataFrames with the generator's columns:

@@ -20,8 +20,9 @@ class CommunityAnalysisSpec extends SparkSpec {
   // every toy trip starts on a Monday at 10:00: day 0, hour 10
   private lazy val toy = SelectedGraph.Result(
     toyNodes.map { case (id, lat, lon, isStation, _) => CandidateGraph.Node(id, lat, lon, isStation) },
-    Map.empty,
-    repro.TestFixtures.tripTable(toyTrips.groupMapReduce { case (_, s, d) => (s, d, 0, 10) }(_ => 1L)(_ + _)),
+    Array.emptyLongArray, Array.emptyIntArray,
+    repro.TestFixtures.tripTable(toyNodes.map(_._1),
+                                 toyTrips.groupMapReduce { case (_, s, d) => (s, d, 0, 10) }(_ => 1L)(_ + _)),
     () => spark.emptyDataFrame)
 
   private val assign = Map(1L -> 1L, 2L -> 1L, 3L -> 3L, 4L -> 3L, 5L -> 5L)

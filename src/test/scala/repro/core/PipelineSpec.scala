@@ -97,7 +97,7 @@ class PipelineSpec extends SparkSpec {
 
   test("community tables start no Spark job once the selected graph is collected") {
     val selected = res.selected
-    assert(selected.tripTable.size > 0 && selected.isNew.nonEmpty)
+    assert(selected.tripTable.size > 0 && selected.finals.nonEmpty)
     val jobs = jobsStarted {
       for (g <- Seq(TemporalGraphs.TNull, TemporalGraphs.TDay, TemporalGraphs.THour))
         Pipeline.communities(spark, selected, g)

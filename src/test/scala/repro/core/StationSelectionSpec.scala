@@ -18,14 +18,19 @@ class StationSelectionSpec extends SparkSpec {
     val counts = roundTrips.map { case (n, trips) => (n, n, 0, 10) -> trips }
     // first evaluated inside jobsStarted, which counts the jobs it starts
     lazy val res = StationSelection.select(spark,
-      CandidateGraph.Result(nodes, Map.empty, repro.TestFixtures.tripTable(counts), () => spark.emptyDataFrame),
+      CandidateGraph.Result(nodes, Array.emptyLongArray, Array.emptyIntArray,
+                            repro.TestFixtures.tripTable(nodes.map(_.id), counts), () => spark.emptyDataFrame),
       minDistM = 250.0)
     assert(jobsStarted(res) === 0)
     res
   }
 
+  /** node id → degree, from the degrees by node position */
+  private lazy val deg: Map[Long, Long] =
+    cand.tripTable.ids.zip(StationSelection.degrees(cand.tripTable)).toMap
+
   test("degrees: sum of degrees equals 2 x trips") {
-    val total = StationSelection.degrees(cand.edgeTrips).values.sum
+    val total = deg.values.sum
     assert(total === 2 * cand.trips.count())
   }
 
@@ -33,21 +38,21 @@ class StationSelectionSpec extends SparkSpec {
     import spark.implicits._
     val out = cand.trips.groupBy($"src_node").count().as[(Long, Long)].collect().toMap
     val in = cand.trips.groupBy($"dst_node").count().as[(Long, Long)].collect().toMap
-    val deg = StationSelection.degrees(cand.edgeTrips)
     deg.foreach { case (node, d) =>
       assert(d === out.getOrElse(node, 0L) + in.getOrElse(node, 0L))
     }
   }
 
   test("threshold is the minimum fixed-station degree") {
-    val deg = StationSelection.degrees(cand.edgeTrips)
     val stationIds = cand.nodes.filter(_.isStation).map(_.id)
     val expected = stationIds.map(id => deg.getOrElse(id, 0L)).min
     assert(sel.degreeThreshold === expected)
+    assert(deg(sel.thresholdStation) === expected)
+    assert(stationIds.filter(deg(_) == expected).min === sel.thresholdStation)
   }
 
   test("select starts no Spark job once the candidate graph is collected") {
-    assert(cand.edgeTrips.nonEmpty && cand.nodes.nonEmpty)
+    assert(cand.tripTable.size > 0 && cand.nodes.nonEmpty)
     assert(jobsStarted(StationSelection.select(spark, cand)) === 0)
   }
 
@@ -131,6 +136,25 @@ class StationSelectionSpec extends SparkSpec {
     // threshold = station degree = 10 (5 round trips); 101 has 14, 102 has 4
     assert(res.degreeThreshold === 10L)
     assert(res.selected.map(_.nodeId) === Seq(101L))
+  }
+
+  test("the funnel counts each rule's survivors and names the station that sets the threshold (toy)") {
+    val mLat = Haversine.MetresPerDegLat
+    val nodes = Seq(
+      CandidateGraph.Node(0L, 53.40, -6.40, isStation = true),
+      CandidateGraph.Node(1L, 53.33, -6.26, isStation = true),
+      CandidateGraph.Node(101L, 53.33 + 100 / mLat, -6.26, isStation = false), // 100 m from station 1
+      CandidateGraph.Node(102L, 53.30, -6.20, isStation = false),
+      CandidateGraph.Node(103L, 53.30 + 100 / mLat, -6.20, isStation = false), // 100 m from 102
+      CandidateGraph.Node(104L, 53.25, -6.10, isStation = false),
+      CandidateGraph.Node(105L, 53.20, -6.00, isStation = false))
+    // degrees: stations 0 -> 6 and 1 -> 4 (threshold 4, set by station 1);
+    // 101 -> 20, 102 -> 10, 103 -> 8, 104 -> 6, 105 -> 2
+    val res = selectToy(nodes, Map(0L -> 3L, 1L -> 2L, 101L -> 10L, 102L -> 5L, 103L -> 4L, 104L -> 3L, 105L -> 1L))
+    assert((res.degreeThreshold, res.thresholdStation) === ((4L, 1L)))
+    // 105 fails Rule 3; 101 fails Rule 4; pruning zeroes 103 against 102
+    assert((res.degreePass, res.distancePass, res.pruned) === ((4, 3, 1)))
+    assert(res.selected.map(_.nodeId) === Seq(102L, 104L))
   }
 
   test("candidates near a station are rejected regardless of degree (toy)") {

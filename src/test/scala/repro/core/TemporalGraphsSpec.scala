@@ -27,6 +27,16 @@ class TemporalGraphsSpec extends SparkSpec {
     ).toDF("rental_id", "src_node", "dst_node", "start_ts")
   }
 
+  /** `sliceCounts` as (src id <= dst id, slice) → trips */
+  private def sliceMap(t: TripTable, g: Granularity): Map[(Long, Long, Int), Long] = {
+    val (keys, counts) = sliceCounts(t, g)
+    val n = t.ids.length
+    keys.indices.map { i =>
+      val pair = keys(i) / g.slices
+      (t.ids((pair / n).toInt), t.ids((pair % n).toInt), (keys(i) % g.slices).toInt) -> counts(i)
+    }.toMap
+  }
+
   private implicit class Tup3Map(rows: Array[(Long, Long, Double)]) {
     def toMap2: Map[(Long, Long), Double] = rows.map(t => (t._1, t._2) -> t._3).toMap
   }
@@ -104,9 +114,74 @@ class TemporalGraphsSpec extends SparkSpec {
                   sliceCol(g, $"start_ts") as "slice")
           .groupBy("src", "dst", "slice").count().as[(Long, Long, Int, Long)].collect()
           .map { case (a, b, s, n) => (a, b, s) -> n }.toMap
-        assert(sliceCounts(all, g) === expected, s"${g.name} under $tz")
+        assert(sliceMap(all, g) === expected, s"${g.name} under $tz")
       }
     } finally spark.conf.set(zoneKey, zone)
+  }
+
+  test("a trip table with columns of unequal length fails, naming them") {
+    val e = intercept[IllegalArgumentException](TripTable(Array(1L, 2L), Array(0, 1), Array(1), Array(8, 9)))
+    assert(e.getMessage.contains("unequal length: from 2, to 1, dayHour 2"), e.getMessage)
+  }
+
+  test("a trip table whose ids do not strictly ascend fails, naming them") {
+    for (ids <- Seq(Array(2L, 1L), Array(3L, 3L))) {
+      val e = intercept[IllegalArgumentException](TripTable(ids, Array(0), Array(1), Array(8)))
+      assert(e.getMessage.contains("node ids must be strictly ascending"), e.getMessage)
+    }
+  }
+
+  test("a trip table with a position outside its ids fails, naming the trip") {
+    for ((from, to) <- Seq((0, 2), (-1, 0), (2, 1))) {
+      val e = intercept[IllegalArgumentException](
+        TripTable(Array(1L, 2L), Array(0, from), Array(1, to), Array(8, 9)))
+      assert(e.getMessage.contains(s"trip 1 runs from position $from to $to, outside the 2 node ids"), e.getMessage)
+    }
+  }
+
+  test("relabel moves each endpoint through the position map onto the new ids") {
+    val t = TripTable(Array(10L, 20L, 30L), Array(0, 2, 1), Array(1, 2, 0), Array(8, 30, 100))
+    val r = t.relabel(Array(1, 0, 1), Array(5L, 7L))
+    assert(r.ids.toSeq === Seq(5L, 7L))
+    assert((r.from.toSeq, r.to.toSeq, r.dayHour.toSeq) === ((Seq(1, 1, 0), Seq(0, 1, 1), Seq(8, 30, 100))))
+  }
+
+  // seeded random tables, and the edge cases each named: one node, a node
+  // without trips, self-loops only, no trips, all trips in one slice
+  test("pair counts, degrees and weights equal the map-based oracle, the weights bit for bit") {
+    val rnd = new scala.util.Random(21)
+    // trips between the first `used` of `nodes` ids, which ascend by random gaps
+    def random(nodes: Int, used: Int, trips: Int, dayHour: => Int, loops: Boolean = false): TripTable = {
+      val ids = Iterator.iterate(rnd.nextInt(1000).toLong)(_ + 1 + rnd.nextInt(2000000)).take(nodes).toArray
+      val from = Array.fill(trips)(rnd.nextInt(used))
+      val to = if (loops) from.clone() else Array.fill(trips)(rnd.nextInt(used))
+      TripTable(ids, from, to, Array.fill(trips)(dayHour))
+    }
+    val cases = Seq(
+      "one node" -> random(1, 1, 30, rnd.nextInt(168)),
+      "a node without trips" -> random(6, 5, 80, rnd.nextInt(168)),
+      "self-loops only" -> random(4, 4, 40, rnd.nextInt(168), loops = true),
+      "no trips" -> random(3, 3, 0, 0),
+      "all trips in one slice" -> random(5, 5, 60, 2 * 24 + 9)) ++
+      (1 to 40).map { k =>
+        val nodes = 1 + rnd.nextInt(12)
+        s"random $k" -> random(nodes, 1 + rnd.nextInt(nodes), rnd.nextInt(150), rnd.nextInt(168))
+      }
+    val bits = (es: Seq[(Long, Long, Double)]) =>
+      es.map { case (a, b, w) => (a, b, java.lang.Double.doubleToRawLongBits(w)) }
+    for ((name, t) <- cases) {
+      val (keys, counts) = pairCounts(t)
+      val n = t.ids.length
+      assert(keys.indices.map(i => (t.ids((keys(i) / n).toInt), t.ids((keys(i) % n).toInt)) -> counts(i)).toMap ===
+        Oracle.pairCounts(t), name)
+      val oracleDegrees = Oracle.degrees(t)
+      assert(t.ids.zip(StationSelection.degrees(t)).toSeq === t.ids.toSeq.map(id => id -> oracleDegrees.getOrElse(id, 0L)),
+        name)
+      for (g <- Seq(TNull, TDay, THour); gamma <- Seq(1.0, DefaultGamma)) {
+        assert(sliceMap(t, g) === Oracle.sliceCounts(t, g), s"$name ${g.name}")
+        assert(bits(weights(t, g, gamma)) === bits(Oracle.weights(t, g, gamma)), s"$name ${g.name} gamma=$gamma")
+      }
+    }
   }
 
   test("TNull edges equal raw undirected trip counts") {
@@ -125,13 +200,15 @@ class TemporalGraphsSpec extends SparkSpec {
   }
 
   test("profiles count trip endpoints per slice") {
-    val p = profiles(sliceCounts(table(toyTrips), TDay))
+    val t = table(toyTrips)
+    val raw = profiles(t, TDay)
+    val p = (node: Long, slice: Int) => raw(java.util.Arrays.binarySearch(t.ids, node) * TDay.slices + slice)
     // node 1: trips 1 (Mon, src), 2 (Mon, dst), 3 (Sat, src)
-    assert(p((1L, 0)) === 2L)
-    assert(p((1L, 5)) === 1L)
+    assert(p(1L, 0) === 2L)
+    assert(p(1L, 5) === 1L)
     // node 3: trip 4 self (Wed) counts both endpoints + trip 5 dst (Sat)
-    assert(p((3L, 2)) === 2L)
-    assert(p((3L, 5)) === 1L)
+    assert(p(3L, 2) === 2L)
+    assert(p(3L, 5) === 1L)
   }
 
   test("TDay weights match the hand-computed co-activity factors (gamma=1)") {
