@@ -76,7 +76,7 @@ object TemporalGraphs {
 
     /** This table over `newIds`: an endpoint at position p moves to `map(p)`. */
     def relabel(map: Array[Int], newIds: Array[Long]): TripTable =
-      TripTable(newIds, from.map(map), to.map(map), dayHour)
+      TripTable(newIds, from.map(map(_)), to.map(map(_)), dayHour)
   }
 
   /** The [[TripTable]] of `trips` (src_node, dst_node, start_ts) over the
@@ -111,12 +111,12 @@ object TemporalGraphs {
   }
 
   /** The distinct `keys`, ascending, and how often each occurs: one sort
-    * of `keys` in place, then one pass over its runs.
+    * of `keys` in place, then one pass for the bounds of its runs.
     */
   private def runs(keys: Array[Long]): (Array[Long], Array[Long]) = {
     java.util.Arrays.sort(keys)
-    val starts = keys.indices.filter(i => i == 0 || keys(i) != keys(i - 1)).toArray
-    (starts.map(keys), starts.zip(starts.drop(1) :+ keys.length).map { case (a, b) => (b - a).toLong })
+    val bounds = Array.range(0, keys.length + 1).filter(i => i == 0 || i == keys.length || keys(i) != keys(i - 1))
+    (bounds.init.map(keys(_)), Array.tabulate(bounds.length - 1)(j => (bounds(j + 1) - bounds(j)).toLong))
   }
 
   /** Trips per directed node pair: the pairs that have trips as ascending
