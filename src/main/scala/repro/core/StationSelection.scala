@@ -38,12 +38,10 @@ object StationSelection {
     def selected: Seq[Candidate] = candidates.filter(_.selected)
   }
 
-  /** Per-node degree, trips from + trips to, by node position in `t.ids`. */
-  def degrees(t: TemporalGraphs.TripTable): Array[Long] = {
-    val deg = new Array[Long](t.ids.length)
-    for (ends <- Seq(t.from, t.to); k <- ends) deg(k) += 1
-    deg
-  }
+  /** Per-node degree, trips from + trips to, by node position in `t.ids`:
+    * the one-slice activity profile.
+    */
+  def degrees(t: TemporalGraphs.TripTable): Array[Long] = TemporalGraphs.profiles(t, TemporalGraphs.TNull)
 
   def select(@scala.annotation.unused("perfbench/Harness.scala passes it") spark: SparkSession,
              candidate: CandidateGraph.Result, minDistM: Double = 250.0): Result = {
