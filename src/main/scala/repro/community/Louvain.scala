@@ -1,109 +1,131 @@
 package repro.community
 
-import scala.collection.mutable
+import java.util.Arrays
 
-/** Exact sequential Louvain (reference implementation).
+/** Exact sequential Louvain (Blondel et al., J. Stat. Mech. 2008).
   *
-  * Standard two-phase algorithm (Blondel et al.): local moving in
-  * ascending-node-id order until no gain, then graph contraction; repeat
-  * until modularity stops improving. Fully deterministic: ties are broken
-  * by the smallest candidate community id.
+  * Standard two-phase algorithm: local moving, then contraction of each
+  * community into one node; repeat until a level moves no node. Local
+  * moving visits the nodes in ascending id order, sweep after sweep, until
+  * a sweep moves none. A node's candidates are its neighbours' communities,
+  * scanned in ascending community id order. The best starts as the node's
+  * own community, and a candidate replaces it only if its modularity gain
+  * exceeds the best gain so far by more than 1e-12. So a node moves only
+  * on an improvement of more than 1e-12, and of candidates whose gains tie
+  * the smallest community id wins. Result community ids are the least
+  * member id.
+  *
+  * Inside, a node is its position `0 until n` among the ascending ids, and
+  * a community is labelled by the position of a node. Contraction numbers
+  * the communities in label order, so each level visits its nodes in the
+  * order of their labels' ids, and maps every edge's endpoints through
+  * that numbering without merging edges: each level has the input's edges
+  * and weights, and a community's internal edges are its self-loops. Every
+  * sum of local moving runs in an order fixed by the positions and the
+  * input edge order, never by a hash table. Q is [[Modularity.local]] of
+  * the result.
   *
   * Input edges are unordered pairs (src <= dst, weight) with self-loops
-  * allowed, matching [[Modularity]]'s convention.
+  * and repeated pairs allowed, matching [[Modularity]]'s convention.
   */
 object Louvain {
 
   final case class LouvainResult(community: Map[Long, Long], modularity: Double, levels: Int)
 
-  private final case class G(nodes: Array[Long],
-                             adj: Map[Long, Map[Long, Double]], // A(i,j); A(i,i)=2*selfw
-                             twoM: Double)
+  /** Adjacency over the nodes `0 until start.length - 1`: row v is `nbr`
+    * and `a` from start(v) until start(v + 1), in edge order. An edge has
+    * one entry in each endpoint's row and a self-loop one entry of 2w, so
+    * that, as in [[Modularity]], A(v, v) = 2·w_self.
+    */
+  private final case class Rows(start: Array[Int], nbr: Array[Int], a: Array[Double])
 
-  private def build(edges: Seq[(Long, Long, Double)]): G = {
-    val adj = mutable.HashMap.empty[Long, mutable.HashMap[Long, Double]]
-    def put(a: Long, b: Long, w: Double): Unit = {
-      val m = adj.getOrElseUpdate(a, mutable.HashMap.empty)
-      m(b) = m.getOrElse(b, 0.0) + w
+  /** The rows of the edges (src(e), dst(e), w(e)) over the nodes 0 until n. */
+  private def rows(n: Int, src: Array[Int], dst: Array[Int], w: Array[Double]): Rows = {
+    val start = new Array[Int](n + 1)
+    src.indices.foreach { e => start(src(e)) += 1; if (dst(e) != src(e)) start(dst(e)) += 1 }
+    (1 to n).foreach(v => start(v) += start(v - 1))
+    val (nbr, a) = (new Array[Int](start(n)), new Array[Double](start(n)))
+    // filled from the back, so that start(v) ends at row v's first entry
+    def put(v: Int, u: Int, x: Double): Unit = { start(v) -= 1; nbr(start(v)) = u; a(start(v)) = x }
+    src.indices.reverse.foreach { e =>
+      if (src(e) == dst(e)) put(src(e), src(e), 2 * w(e))
+      else { put(src(e), dst(e), w(e)); put(dst(e), src(e), w(e)) }
     }
-    edges.foreach { case (s, d, w) =>
-      require(s <= d, "edges must be unordered (src <= dst)")
-      if (s == d) put(s, s, 2 * w) else { put(s, d, w); put(d, s, w) }
-    }
-    val twoM = adj.valuesIterator.flatMap(_.valuesIterator).sum
-    G(adj.keys.toArray.sorted, adj.view.mapValues(_.toMap).toMap, twoM)
+    Rows(start, nbr, a)
   }
 
-  /** One level of local moving; returns (assignment, improved?). */
-  private def oneLevel(g: G): (mutable.HashMap[Long, Long], Boolean) = {
-    val comm = mutable.HashMap.empty[Long, Long]
-    g.nodes.foreach(v => comm(v) = v)
-    val k = mutable.HashMap.empty[Long, Double]
-    g.nodes.foreach(v => k(v) = g.adj(v).valuesIterator.sum)
-    val tot = mutable.HashMap.empty[Long, Double]
-    g.nodes.foreach(v => tot(v) = k(v))
-    val twoM = g.twoM
-    // one sweep over the nodes in id order; true if any node moved
-    def sweep(): Boolean = g.nodes.count { v =>
-      val cv = comm(v)
-      // weight from v to each neighbouring community (self-loop excluded)
-      val nbrW = mutable.HashMap.empty[Long, Double].withDefaultValue(0.0)
-      g.adj(v).foreach { case (u, w) => if (u != v) nbrW(comm(u)) += w }
-      tot(cv) -= k(v)
-      // gain of joining community c: nbrW(c)/m' - tot(c)*k(v)/2m²·2 —
-      // compare via gain(c) = nbrW(c) - tot(c)*k(v)/twoM
-      val stayGain = nbrW(cv) - tot(cv) * k(v) / twoM
-      // move only on strictly positive improvement; ties among candidates
-      // resolve to the smallest id via the sorted scan
-      val (bestC, _) = nbrW.toSeq.sortBy(_._1).foldLeft((cv, stayGain)) { case (best @ (_, bestGain), (c, w)) =>
-        val gain = w - tot(c) * k(v) / twoM
-        if (c != cv && gain > bestGain + 1e-12) (c, gain) else best
+  /** Local moving over `r`: each node's community, labelled by a node
+    * position, or None if no node moved.
+    */
+  private def move(r: Rows): Option[Array[Int]] = {
+    val n = r.start.length - 1
+    val k = new Array[Double](n)
+    (0 until n).foreach(v => (r.start(v) until r.start(v + 1)).foreach(i => k(v) += r.a(i)))
+    val twoM = k.sum
+    val (comm, tot) = (Array.range(0, n), k.clone())
+    // weight from the visited node to each neighbouring community (its
+    // self-loop excluded), and the communities it touches, which a
+    // zero-weight edge does too
+    val (nbrW, seen, touched) = (new Array[Double](n), new Array[Boolean](n), new Array[Int](n))
+    // one sweep over the nodes in position order; true if any node moved
+    def sweep(): Boolean = {
+      var moved = false
+      var v = 0
+      while (v < n) {
+        var t = 0; var i = r.start(v)
+        while (i < r.start(v + 1)) {
+          val c = comm(r.nbr(i))
+          if (r.nbr(i) != v) { if (!seen(c)) { seen(c) = true; touched(t) = c; t += 1 }; nbrW(c) += r.a(i) }
+          i += 1
+        }
+        Arrays.sort(touched, 0, t)
+        val cv = comm(v)
+        tot(cv) -= k(v)
+        // gain of joining community c, less terms common to every c
+        var best = cv; var bestGain = nbrW(cv) - tot(cv) * k(v) / twoM
+        var j = 0
+        while (j < t) {
+          val c = touched(j)
+          val gain = nbrW(c) - tot(c) * k(v) / twoM
+          if (c != cv && gain > bestGain + 1e-12) { best = c; bestGain = gain }
+          nbrW(c) = 0.0; seen(c) = false; j += 1
+        }
+        tot(best) += k(v)
+        if (best != cv) { comm(v) = best; moved = true }
+        v += 1
       }
-      tot(bestC) += k(v)
-      if (bestC != cv) comm(v) = bestC
-      bestC != cv
-    } > 0
-    // sweep until a sweep moves nothing
-    val improvedEver = sweep()
-    if (improvedEver) while (sweep()) ()
-    (comm, improvedEver)
-  }
-
-  private def contract(g: G, comm: mutable.HashMap[Long, Long]): Seq[(Long, Long, Double)] = {
-    val agg = mutable.HashMap.empty[(Long, Long), Double]
-    for ((v, nbrs) <- g.adj; (u, w) <- nbrs if v <= u) {
-      val (a, b) = {
-        val (ca, cb) = (comm(v), comm(u))
-        if (ca <= cb) (ca, cb) else (cb, ca)
-      }
-      // A(v,v) stores 2*selfw; convert back to edge-list weight
-      val ew = if (v == u) w / 2 else w
-      val key = (a, b)
-      agg(key) = agg.getOrElse(key, 0.0) + ew
+      moved
     }
-    agg.toSeq.map { case ((a, b), w) => (a, b, w) }
+    val movedEver = sweep()
+    if (movedEver) while (sweep()) ()
+    Option.when(movedEver)(comm)
   }
 
   /** Run Louvain to convergence. */
   def run(edges: Seq[(Long, Long, Double)]): LouvainResult = {
     require(edges.nonEmpty, "empty graph")
-    var g = build(edges)
-    // node -> community at the finest level
-    var mapping: Map[Long, Long] = g.nodes.map(v => v -> v).toMap
-    var levels = 0
-    var improved = true
-    while (improved) {
-      val (comm, didImprove) = oneLevel(g)
-      improved = didImprove
-      if (didImprove) {
-        levels += 1
-        mapping = mapping.view.mapValues(c => comm(c)).toMap
-        g = build(contract(g, comm))
+    require(edges.forall { case (s, d, _) => s <= d }, "edges must be unordered (src <= dst)")
+    val ids = (edges.map(_._1) ++ edges.map(_._2)).toArray.distinct.sorted
+    val w = edges.map(_._3).toArray
+    // each input node's community at the current level
+    val fine = Array.range(0, ids.length)
+    // the number of levels that move a node; each contracts its
+    // communities into the next level's nodes
+    def levels(n: Int, src: Array[Int], dst: Array[Int], done: Int): Int =
+      move(rows(n, src, dst, w)).fold(done) { comm =>
+        // rank(c): the labels in use below c, so the communities keep their labels' order
+        val rank = new Array[Int](n + 1)
+        comm.foreach(c => rank(c + 1) = 1)
+        (1 to n).foreach(c => rank(c) += rank(c - 1))
+        val next = comm.map(rank(_))
+        fine.mapInPlace(next(_))
+        levels(rank(n), src.map(next(_)), dst.map(next(_)), done + 1)
       }
-    }
-    // canonicalise community ids to the min member id
-    val byComm = mapping.groupBy(_._2).view.mapValues(_.keys.min).toMap
-    val finalMap = mapping.view.mapValues(byComm).toMap
-    LouvainResult(finalMap, Modularity.local(edges, finalMap), levels)
+    val at = (id: Long) => Arrays.binarySearch(ids, id)
+    val nLevels = levels(ids.length, edges.map(e => at(e._1)).toArray, edges.map(e => at(e._2)).toArray, 0)
+    val least = new Array[Int](ids.length)
+    fine.indices.reverse.foreach(v => least(fine(v)) = v)
+    val community = fine.indices.map(v => ids(v) -> ids(least(fine(v)))).toMap
+    LouvainResult(community, Modularity.local(edges, community), nLevels)
   }
 }

@@ -68,12 +68,22 @@ class SourceSpec extends AnyFunSuite {
 
   // the nodes have one numbering from the cleaning job to Louvain's input:
   // trips carry node positions, so a count per node is an array and a count
-  // per node pair one sort of packed keys. Louvain and the harness-facing
-  // Map[Long, Long] of CommunityAnalysis.summarize are outside this rule
+  // per node pair one sort of packed keys. The harness-facing
+  // Map[Long, Long] of CommunityAnalysis.summarize is outside this rule, and
+  // Louvain has the rule below
   test("repro.core and repro.data key no map by (Long, Long) and call no groupMapReduce") {
     val scoped = Seq("src/main/scala/repro/core/", "src/main/scala/repro/data/")
     val hits = programHits(Seq("groupMapReduce", "Map[(Long, Long)"))
       .filter(h => scoped.exists(h.startsWith))
+    assert(hits.isEmpty, hits.mkString("\n"))
+  }
+
+  // Louvain runs over node positions in arrays at every level: a hash
+  // table would box every id and key, and its iteration order would set
+  // the order of Louvain's sums
+  test("Louvain names no HashMap, no Map[(Long, Long) and no groupBy") {
+    val hits = programHits(Seq("HashMap", "Map[(Long, Long)", "groupBy"))
+      .filter(_.startsWith("src/main/scala/repro/community/Louvain.scala"))
     assert(hits.isEmpty, hits.mkString("\n"))
   }
 }

@@ -1,8 +1,8 @@
 package repro.community
 
-import repro.SparkSpec
+import repro.{Oracle, SparkSpec}
 
-/** Tests for the sequential Louvain reference implementation. */
+/** Tests for the sequential Louvain implementation. */
 class LouvainSpec extends SparkSpec {
 
   private def clique(ids: Seq[Long], w: Double = 1.0): Seq[(Long, Long, Double)] =
@@ -134,5 +134,53 @@ class LouvainSpec extends SparkSpec {
     val edges = Seq((1L, 2L, 1.0), (1L, 3L, 1.0), (2L, 4L, 10.0), (3L, 5L, 10.0))
     val r = Louvain.run(edges)
     assert(r.community === Map(1L -> 1L, 2L -> 1L, 4L -> 1L, 3L -> 3L, 5L -> 3L))
+  }
+
+  /** A seeded random graph over non-contiguous ids: planted blocks, then
+    * self-loops and repeated pairs. Weights are integer, real, tenths,
+    * integer with zeros, or one tenth for every edge: its ties are exact,
+    * as with integers, but its sums round, so tied gains can differ by
+    * less than the 1e-12 margin.
+    */
+  private def randomGraph(rnd: scala.util.Random): Seq[(Long, Long, Double)] = {
+    val n = 2 + rnd.nextInt(40)
+    val ids = Iterator.continually(rnd.nextInt(2000000) - 1000000L).distinct.take(n).toArray.sorted
+    val blocks = 1 + rnd.nextInt(5)
+    val (pIn, pOut) = (0.2 + 0.7 * rnd.nextDouble(), 0.2 * rnd.nextDouble())
+    val (kind, tenth) = (rnd.nextInt(5), (1 + rnd.nextInt(9)) / 10.0)
+    def weight(): Double = kind match {
+      case 0 => 1.0 + rnd.nextInt(4)
+      case 1 => 3 * rnd.nextDouble()
+      case 2 => (1 + rnd.nextInt(10)) / 10.0
+      case 3 => if (rnd.nextInt(4) == 0) 0.0 else 1.0 + rnd.nextInt(3)
+      case _ => tenth
+    }
+    val pairs = for {
+      i <- 0 until n; j <- i + 1 until n
+      if rnd.nextDouble() < (if (i % blocks == j % blocks) pIn else pOut)
+    } yield (ids(i), ids(j), weight())
+    val loops = ids.toSeq.filter(_ => rnd.nextInt(8) == 0).map(v => (v, v, weight()))
+    val base = if (pairs.isEmpty) Seq((ids(0), ids(1), weight())) else pairs
+    val repeats = Seq.fill(rnd.nextInt(4))(base(rnd.nextInt(base.size))).map { case (a, b, _) => (a, b, weight()) }
+    base ++ loops ++ repeats
+  }
+
+  test("Louvain.run equals the map-based oracle on 240 seeded random graphs, edges as drawn and shuffled") {
+    val rnd = new scala.util.Random(22)
+    val allZero = Seq((3L, 9L, 0.0), (9L, 40L, 0.0), (40L, 40L, 0.0), (3L, 40L, 0.0))
+    val graphs = allZero +: Seq.fill(239)(randomGraph(rnd))
+    // the zero weights, self-loops and repeated pairs occur
+    assert(graphs.count(_.exists(_._3 == 0.0)) > 20)
+    assert(graphs.count(_.exists(e => e._1 == e._2)) > 150)
+    assert(graphs.count(g => g.map(e => (e._1, e._2)).distinct.size < g.size) > 120)
+    for ((edges, g) <- graphs.zipWithIndex; order <- Seq(edges, rnd.shuffle(edges))) {
+      val (got, want) = (Louvain.run(order), Oracle.MapLouvain.run(order))
+      withClue(s"graph $g, ${order.size} edges: ") {
+        assert(got.community === want.community)
+        assert(got.levels === want.levels)
+        assert(java.lang.Double.doubleToRawLongBits(got.modularity) ===
+                 java.lang.Double.doubleToRawLongBits(want.modularity))
+      }
+    }
   }
 }
