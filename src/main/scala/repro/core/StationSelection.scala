@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.SparkSession
+import repro.cluster.SpatialGrid
 import repro.geo.{Haversine, PointTable}
 
 /** The paper's Algorithm 1 — station ranking and selection.
@@ -13,11 +14,15 @@ import repro.geo.{Haversine, PointTable}
   *   - Rule 4 (secondary distance): a candidate scores 0 if its centroid
   *     is within `minDistM` (250 m) of a fixed station;
   *   - pairwise pruning: of any two surviving candidates within
-  *     `minDistM` of each other, the lower-degree one is zeroed;
+  *     `minDistM` of each other, the lower-degree one is zeroed. The
+  *     close pairs are the ones `SpatialGrid.pairs` finds among the Rule 4
+  *     survivors, visited in id order (by the lower id, then the higher);
+  *     a pair whose member is already zeroed is skipped, and of two equal
+  *     degrees the higher id is zeroed;
   *   - survivors, ranked by score descending, become new stations.
   *
-  * Everything runs on the driver over the candidate graph's edge counts
-  * and nodes (≈1k nodes at sf=1); no Spark job starts.
+  * Everything runs on the driver, over the candidate trip table and nodes
+  * by node position (≈1k nodes at sf=1); no Spark job starts.
   */
 object StationSelection {
 
@@ -45,36 +50,33 @@ object StationSelection {
 
   def select(@scala.annotation.unused("perfbench/Harness.scala passes it") spark: SparkSession,
              candidate: CandidateGraph.Result, minDistM: Double = 250.0): Result = {
-    // positions ascend with ids, so the candidates come in id order
-    val (stations, others) = candidate.nodes.zip(degrees(candidate.tripTable)).partition(_._1.isStation)
+    // positions ascend with ids, so every list of positions is in id order
+    val nodes = candidate.nodes.toIndexedSeq
+    val points = PointTable(nodes.map(_.id).toArray, nodes.map(_.lat).toArray, nodes.map(_.lon).toArray)
+    val deg = degrees(candidate.tripTable)
+    val (stations, cands) = nodes.indices.partition(nodes(_).isStation)
     require(stations.nonEmpty, "no fixed stations")
-    val (setter, threshold) = stations.minBy(_._2)
-    val stationPoints = PointTable(stations.map(_._1.id).toArray, stations.map(_._1.lat).toArray,
-                                   stations.map(_._1.lon).toArray)
-
-    final case class C(id: Long, lat: Double, lon: Double, deg: Long, var score: Long)
-    val cands = others.map { case (n, d) => C(n.id, n.lat, n.lon, d, 0L) }
+    val setter = stations.minBy(deg(_))
+    val stationPoints = points.subset(nodes(_).isStation)
 
     // Rules 3 and 4; a candidate without trips has nothing to rank
-    val degreePass = cands.filter(_.deg >= threshold)
-    val alive = degreePass.filter(c => c.deg > 0 && !(Haversine.nearest(c.lat, c.lon, stationPoints)._1 <= minDistM))
-    for (c <- alive) c.score = c.deg
+    val degreePass = cands.filter(deg(_) >= deg(setter))
+    val alive = degreePass.filter(k =>
+      deg(k) > 0 && !(Haversine.nearest(points.lats(k), points.lons(k), stationPoints)._1 <= minDistM))
+    val score = new Array[Long](nodes.size)
+    for (k <- alive) score(k) = deg(k)
 
-    // pairwise pruning in one id-ordered pass: scores only fall to 0, so
-    // once a pair is checked one of the two is zero or they are far apart,
-    // and a second pass would change nothing
-    for (i <- alive.indices; j <- i + 1 until alive.length) {
-      val a = alive(i); val b = alive(j)
-      if (a.score > 0 && b.score > 0 &&
-          Haversine.metres(a.lat, a.lon, b.lat, b.lon) < minDistM) {
-        // zero the lower-degree station; break id ties deterministically
-        val loser = if (a.deg < b.deg || (a.deg == b.deg && a.id > b.id)) a else b
-        loser.score = 0
-      }
+    // pairwise pruning over the close pairs in id order: scores only fall
+    // to 0, so once a pair is checked one of the two is zero, and a second
+    // pass would change nothing. Of two equal degrees the higher id goes.
+    val close = SpatialGrid.pairs(alive.map(points.lats(_)).toArray, alive.map(points.lons(_)).toArray, minDistM)
+    for ((i, j, d) <- close.upperPairs if d < minDistM) {
+      val (a, b) = (alive(i), alive(j))
+      if (score(a) > 0 && score(b) > 0) score(if (deg(a) < deg(b)) a else b) = 0
     }
 
-    val out = cands.sortBy(c => (-c.score, c.id))
-      .map(c => Candidate(c.id, c.lat, c.lon, c.deg, c.score, c.score > 0))
-    Result(out, threshold, setter.id, degreePass.size, alive.size, alive.count(_.score == 0))
+    val out = cands.sortBy(k => (-score(k), k))
+      .map(k => Candidate(points.ids(k), points.lats(k), points.lons(k), deg(k), score(k), score(k) > 0))
+    Result(out, deg(setter), points.ids(setter), degreePass.size, alive.size, alive.count(score(_) == 0))
   }
 }

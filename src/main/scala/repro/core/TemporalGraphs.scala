@@ -82,7 +82,10 @@ object TemporalGraphs {
   /** The [[TripTable]] of `trips` (src_node, dst_node, start_ts) over the
     * node ids they reference, day and hour their [[sliceCol]]s, computed
     * in Spark under the session time zone. The pipeline's tables come from
-    * `Cleaning.clean`'s; this one serves [[edges]] and the tests.
+    * `Cleaning.clean`'s, sliced in the data's zone, which is UTC
+    * (`MobySchema.DefaultZone`) in every `Pipeline.run`; this one equals
+    * them only when the session zone is that zone. It serves [[edges]] and
+    * the tests.
     */
   def table(trips: DataFrame): TripTable = {
     val start = col("start_ts")
@@ -184,7 +187,11 @@ object TemporalGraphs {
     edges.filter(_._3 > 0).toSeq
   }
 
-  /** [[weights]] of the trips' [[table]] as a DataFrame: src, dst, weight. */
+  /** [[weights]] of the trips' [[table]] as a DataFrame: src, dst, weight.
+    * The trips are sliced in the session time zone, so these are the
+    * pipeline's weights only when that zone is the data's (UTC in every
+    * `Pipeline.run`).
+    */
   def edges(spark: SparkSession, trips: DataFrame, g: Granularity,
             gamma: Double = DefaultGamma): DataFrame = {
     import spark.implicits._

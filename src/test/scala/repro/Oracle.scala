@@ -6,8 +6,8 @@ import org.apache.spark.sql.{DataFrame, Row}
 import repro.community.Modularity
 import repro.core.TemporalGraphs.{DefaultGamma, Granularity, TripTable}
 
-/** Correctness oracles: DuckDB, the map-based trip-table projections and
-  * the map-based Louvain.
+/** Correctness oracles: DuckDB, the map-based trip-table projections, the
+  * map-based Louvain and Algorithm 1 by an all-pairs scan.
   *
   * ``assertEquivalent(sparkDf, sql, tables)`` runs ``sql`` on DuckDB
   * (via JDBC, in-process) over ``tables`` and asserts the sorted rows
@@ -231,6 +231,55 @@ object Oracle {
       val byComm = mapping.groupBy(_._2).view.mapValues(_.keys.min).toMap
       val finalMap = mapping.view.mapValues(byComm).toMap
       LouvainResult(finalMap, Modularity.local(edges, finalMap), levels)
+    }
+  }
+
+  // ---- Algorithm 1 over mutable records and a nested all-pairs scan, as
+  // the program ran it before pruning read the grid's close pairs: the
+  // reference that StationSelection.select is compared with, Result for
+  // Result
+
+  object PairScan {
+    import org.apache.spark.sql.SparkSession
+    import repro.core.{CandidateGraph, StationSelection}
+    import repro.core.StationSelection.{Candidate, Result}
+    import repro.geo.{Haversine, PointTable}
+
+    def select(@scala.annotation.unused("StationSelection.select's signature") spark: SparkSession,
+               candidate: CandidateGraph.Result, minDistM: Double = 250.0): Result = {
+      // positions ascend with ids, so the candidates come in id order
+      // StationSelection.degrees: Oracle.degrees is the map-based reference
+      val (stations, others) =
+        candidate.nodes.zip(StationSelection.degrees(candidate.tripTable)).partition(_._1.isStation)
+      require(stations.nonEmpty, "no fixed stations")
+      val (setter, threshold) = stations.minBy(_._2)
+      val stationPoints = PointTable(stations.map(_._1.id).toArray, stations.map(_._1.lat).toArray,
+                                     stations.map(_._1.lon).toArray)
+
+      final case class C(id: Long, lat: Double, lon: Double, deg: Long, var score: Long)
+      val cands = others.map { case (n, d) => C(n.id, n.lat, n.lon, d, 0L) }
+
+      // Rules 3 and 4; a candidate without trips has nothing to rank
+      val degreePass = cands.filter(_.deg >= threshold)
+      val alive = degreePass.filter(c => c.deg > 0 && !(Haversine.nearest(c.lat, c.lon, stationPoints)._1 <= minDistM))
+      for (c <- alive) c.score = c.deg
+
+      // pairwise pruning in one id-ordered pass: scores only fall to 0, so
+      // once a pair is checked one of the two is zero or they are far apart,
+      // and a second pass would change nothing
+      for (i <- alive.indices; j <- i + 1 until alive.length) {
+        val a = alive(i); val b = alive(j)
+        if (a.score > 0 && b.score > 0 &&
+            Haversine.metres(a.lat, a.lon, b.lat, b.lon) < minDistM) {
+          // zero the lower-degree station; break id ties deterministically
+          val loser = if (a.deg < b.deg || (a.deg == b.deg && a.id > b.id)) a else b
+          loser.score = 0
+        }
+      }
+
+      val out = cands.sortBy(c => (-c.score, c.id))
+        .map(c => Candidate(c.id, c.lat, c.lon, c.deg, c.score, c.score > 0))
+      Result(out, threshold, setter.id, degreePass.size, alive.size, alive.count(_.score == 0))
     }
   }
 }

@@ -16,14 +16,14 @@ class SourceSpec extends AnyFunSuite {
   /** file:line: token for each line of the program (`src/main/scala` and
     * `jobs/`) that contains one of `banned`.
     */
-  private def programHits(banned: Seq[String]): Seq[String] = {
+  private def programHits(banned: Seq[String]): Seq[String] =
+    for ((at, line) <- programLines; b <- banned if line.contains(b)) yield s"$at: $b"
+
+  /** (file:line, text) of each line of the program. */
+  private lazy val programLines: Seq[(String, String)] = {
     val files = scalaFiles("src/main/scala") ++ scalaFiles("jobs")
     assert(files.size > 10, s"found only ${files.size} source files")
-    for {
-      f <- files
-      (line, n) <- Files.readAllLines(f).asScala.zipWithIndex
-      b <- banned if line.contains(b)
-    } yield s"$f:${n + 1}: $b"
+    for (f <- files; (line, n) <- Files.readAllLines(f).asScala.zipWithIndex) yield (s"$f:${n + 1}", line)
   }
 
   // Spark parses a SQL string with its ANTLR grammar; a cold JVM pays for
@@ -84,6 +84,19 @@ class SourceSpec extends AnyFunSuite {
   test("Louvain names no HashMap, no Map[(Long, Long) and no groupBy") {
     val hits = programHits(Seq("HashMap", "Map[(Long, Long)", "groupBy"))
       .filter(_.startsWith("src/main/scala/repro/community/Louvain.scala"))
+    assert(hits.isEmpty, hits.mkString("\n"))
+  }
+
+  // Algorithm 1 takes its close pairs from SpatialGrid.pairs and Rule 4's
+  // distances from Haversine.nearest, so every distance in repro.core comes
+  // from one of the two exact searches; and no mutable record holds a
+  // score or a count there
+  test("repro.core names no Haversine.metres and declares no var") {
+    val declaresVar = """\bvar\s""".r
+    val hits = programLines.filter(_._1.startsWith("src/main/scala/repro/core/")).collect {
+      case (at, line) if line.contains("Haversine.metres(") => s"$at: Haversine.metres("
+      case (at, line) if declaresVar.findFirstIn(line).nonEmpty => s"$at: var"
+    }
     assert(hits.isEmpty, hits.mkString("\n"))
   }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.SparkSpec
+import repro.{Oracle, SparkSpec}
 import repro.geo.Haversine
 
 /** Tests for Algorithm 1 (station ranking and selection). */
@@ -9,18 +9,23 @@ class StationSelectionSpec extends SparkSpec {
   private lazy val cand = repro.TestFixtures.candidate
   private lazy val sel = repro.TestFixtures.selection
 
-  /** Algorithm 1 on a toy candidate graph, checking that it starts no
-    * Spark job. Every toy trip is a Monday 10:00 round trip, so its counts
-    * key is (node, node, 0, 10).
+  /** The toy candidate graph of `nodes`, in ascending id order, with
+    * `roundTrips(n)` round trips at node n. Every toy trip is a Monday
+    * 10:00 round trip, so its counts key is (node, node, 0, 10).
     */
-  private def selectToy(nodes: Seq[CandidateGraph.Node],
-                        roundTrips: Map[Long, Long]): StationSelection.Result = {
+  private def toy(nodes: Seq[CandidateGraph.Node], roundTrips: Map[Long, Long]): CandidateGraph.Result = {
     val counts = roundTrips.map { case (n, trips) => (n, n, 0, 10) -> trips }
+    CandidateGraph.Result(nodes, Array.emptyLongArray, Array.emptyIntArray,
+                          repro.TestFixtures.tripTable(nodes.map(_.id), counts), () => spark.emptyDataFrame)
+  }
+
+  /** Algorithm 1 on a [[toy]] candidate graph, checking that it starts no
+    * Spark job.
+    */
+  private def selectToy(nodes: Seq[CandidateGraph.Node], roundTrips: Map[Long, Long],
+                        minDistM: Double = 250.0): StationSelection.Result = {
     // first evaluated inside jobsStarted, which counts the jobs it starts
-    lazy val res = StationSelection.select(spark,
-      CandidateGraph.Result(nodes, Array.emptyLongArray, Array.emptyIntArray,
-                            repro.TestFixtures.tripTable(nodes.map(_.id), counts), () => spark.emptyDataFrame),
-      minDistM = 250.0)
+    lazy val res = StationSelection.select(spark, toy(nodes, roundTrips), minDistM)
     assert(jobsStarted(res) === 0)
     res
   }
@@ -165,5 +170,55 @@ class StationSelectionSpec extends SparkSpec {
       CandidateGraph.Node(102L, 53.33 + 400 / mLat, -6.26, isStation = false)) // 400 m away
     val res = selectToy(nodes, Map(0L -> 1L, 101L -> 50L, 102L -> 50L))
     assert(res.selected.map(_.nodeId) === Seq(102L))
+  }
+
+  test("select equals the all-pairs oracle on 240 seeded toy graphs") {
+    val rnd = new scala.util.Random(24)
+    val mLat = Haversine.MetresPerDegLat
+    /** a point up to `maxM` from (lat, lon), on a random bearing */
+    def near(lat: Double, lon: Double, maxM: Double): (Double, Double) = {
+      val (r, bearing) = (maxM * rnd.nextDouble(), 2 * math.Pi * rnd.nextDouble())
+      (lat + r * math.cos(bearing) / mLat, lon + r * math.sin(bearing) / Haversine.metresPerDegLon(lat))
+    }
+    // per graph: whether two stations tie for the threshold, and the pruned count
+    val seen = (0 until 240).map { g =>
+      val (lat0, lon0) = (Seq(53.35, 64.1, -69.5, 78.2, 0.5)(g % 5), -6.26 + rnd.nextDouble())
+      // 1-4 stations with 1-3 round trips each, so they often tie for the threshold
+      val stations = Seq.tabulate(1 + rnd.nextInt(4)) { k =>
+        val (la, lo) = near(lat0, lon0, 1500)
+        CandidateGraph.Node(3L * k + 1, la, lo, isStation = true)
+      }
+      // 2-15 candidates in 1-4 clumps, each up to 400 m from its clump's
+      // centre; one in ten repeats the previous candidate's point (0 m)
+      val centres = Seq.fill(1 + rnd.nextInt(4))(near(lat0, lon0, 1500))
+      val cands = (0 until 2 + rnd.nextInt(14)).foldLeft(Vector.empty[CandidateGraph.Node]) { (acc, k) =>
+        val (la, lo) =
+          if (acc.nonEmpty && rnd.nextInt(10) == 0) (acc.last.lat, acc.last.lon)
+          else { val (cl, co) = centres(rnd.nextInt(centres.size)); near(cl, co, 400) }
+        acc :+ CandidateGraph.Node(1000L + 2 * k + rnd.nextInt(2), la, lo, isStation = false)
+      }
+      // degrees 2-12 (1-6 round trips), so they often tie; some candidates have no trips
+      val trips = stations.map(_.id -> (1L + rnd.nextInt(3))).toMap ++
+        cands.filter(_ => rnd.nextInt(7) != 0).map(_.id -> (1L + rnd.nextInt(6)))
+      // a third keep 250 m; a third take one candidate pair's exact distance,
+      // lower id first as the pairs are measured; a third one candidate's
+      // exact distance to a station, as Rule 4 measures it
+      val minDistM = g % 3 match {
+        case 0 => 250.0
+        case 1 =>
+          val ab = rnd.shuffle(cands.indices.toList).take(2).sorted
+          val (a, b) = (cands(ab(0)), cands(ab(1)))
+          Haversine.metres(a.lat, a.lon, b.lat, b.lon)
+        case _ =>
+          val (c, st) = (cands(rnd.nextInt(cands.size)), stations(rnd.nextInt(stations.size)))
+          Haversine.metres(c.lat, c.lon, st.lat, st.lon)
+      }
+      val nodes = stations ++ cands
+      val res = selectToy(nodes, trips, minDistM)
+      assert(res === Oracle.PairScan.select(spark, toy(nodes, trips), minDistM), s"graph $g")
+      (stations.count(s => 2 * trips(s.id) == res.degreeThreshold) > 1, res.pruned)
+    }
+    val (tied, pruned) = (seen.count(_._1), seen.map(_._2).sum)
+    assert(tied > 20 && pruned > 100, (tied, pruned))
   }
 }

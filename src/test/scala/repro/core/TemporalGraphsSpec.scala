@@ -119,6 +119,25 @@ class TemporalGraphsSpec extends SparkSpec {
     } finally spark.conf.set(zoneKey, zone)
   }
 
+  test("edges of the selected trips equal the weights of the selected trip table, bit for bit (UTC)") {
+    import spark.implicits._
+    val selected = repro.TestFixtures.selected
+    // the pipeline slices the trips in the data's zone; edges slices them in the session's
+    assert(repro.data.MobySchema.DefaultZone.normalized === ZoneId.of("UTC").normalized)
+    val zoneKey = "spark.sql.session.timeZone"
+    val zone = spark.conf.get(zoneKey)
+    def bits(edges: Seq[(Long, Long, Double)]) =
+      edges.map { case (a, b, w) => (a, b, java.lang.Double.doubleToRawLongBits(w)) }.sorted
+    try {
+      spark.conf.set(zoneKey, "UTC")
+      for (g <- Seq(TNull, TDay, THour)) {
+        val viaSpark = edges(spark, selected.trips, g).as[(Long, Long, Double)].collect().toSeq
+        val direct = weights(selected.tripTable, g)
+        assert(direct.nonEmpty && bits(viaSpark) === bits(direct), g.name)
+      }
+    } finally spark.conf.set(zoneKey, zone)
+  }
+
   test("a trip table with columns of unequal length fails, naming them") {
     val e = intercept[IllegalArgumentException](TripTable(Array(1L, 2L), Array(0, 1), Array(1), Array(8, 9)))
     assert(e.getMessage.contains("unequal length: from 2, to 1, dayHour 2"), e.getMessage)
